@@ -22,10 +22,8 @@ from .errors import (
 from .linalg import (
     BiorthogonalEigensystem,
     eigendecompose,
-    match_bands,
     matrix_scale,
     null_space,
-    overlap_matrix,
     solve_linear,
 )
 from .model import (
@@ -55,6 +53,7 @@ from .geometry import (
     SusceptibilityResult,
     fidelity,
     grid_scan,
+    line_scan,
     polar_sweep,
     straddle_fidelity,
     susceptibility,

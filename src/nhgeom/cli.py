@@ -8,28 +8,33 @@ error, 3 whole-run computation failure (per-cell failures are data).
 """
 
 import csv
+import functools
 import io
 import json
 import math
-import os
 import sys
 import time
 
 import click
+import numpy as np
 
 from . import __version__
 from .errors import NhgeomError
 from .geometry import (
     DEFAULT_STEP_H,
     grid_scan,
+    line_scan,
     polar_sweep,
     straddle_fidelity,
 )
+from .linalg import matrix_scale
 from .model import ParameterPoint, get_family
 from .jordan import classify_ep, jordan_chain, sqrt_coefficient
 from .spectral import (
-    classify_phase,
+    closest_pair,
+    ep_at,
     find_ep_on_segment,
+    phase_of,
     trace_exceptional_line,
 )
 
@@ -78,23 +83,17 @@ def read_config_file(path):
     return cfg
 
 
-def apply_config(ctx, config_path):
-    """Fill parameters still at their defaults from the config file."""
-    if not config_path:
-        return
-    cfg = read_config_file(config_path)
-    from click.core import ParameterSource
-
-    for param in ctx.command.params:
-        if param.name in cfg and ctx.get_parameter_source(param.name) in (
-            ParameterSource.DEFAULT,
-            ParameterSource.DEFAULT_MAP,
-        ):
-            ctx.params[param.name] = param.type.convert(cfg[param.name], param, ctx)
+def use_config(ctx, param, path):
+    """Make the config file's values the defaults of the options not given."""
+    if path:
+        ctx.default_map = read_config_file(path)
 
 
 def write_rows(out, fmt, header, rows):
-    """Write a data table; None fields become empty CSV cells / JSON null."""
+    """Write a data table and return its row count.
+
+    None fields become empty CSV cells / JSON null.
+    """
     if fmt == "csv":
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
@@ -107,6 +106,15 @@ def write_rows(out, fmt, header, rows):
         data = json.dumps(records, indent=1) + "\n"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
+    return len(rows)
+
+
+def write_record(out, record):
+    """Write one JSON object and return its row count, 1."""
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 1
 
 
 def write_manifest(out, subcommand, config, started, n_rows):
@@ -123,46 +131,37 @@ def write_manifest(out, subcommand, config, started, n_rows):
         fh.write("\n")
 
 
-def resolved_config(ctx, skip=("config",)):
-    cfg = {}
-    for param in ctx.command.params:
-        if param.name in skip:
-            continue
-        val = ctx.params.get(param.name)
-        if val is not None:
-            cfg[param.name] = str(val)
-    return cfg
+def write_chi(out, fmt, coord_names, cells):
+    """Write chi sweep cells; a non-ok cell has no value fields."""
+    rows = []
+    for c in cells:
+        row = [fnum(c.coords[0]), fnum(c.coords[1]), c.band]
+        if c.status == "ok":
+            row += [fnum(c.value.real), fnum(c.value.imag), fnum(c.error_estimate)]
+        else:
+            row += [None, None, None]
+        rows.append(row + [c.status])
+    header = list(coord_names) + ["band", "re_chi", "im_chi", "error_estimate", "status"]
+    return write_rows(out, fmt, header, rows)
 
 
-def chi_value_row(coords, cell):
-    if cell.status == "ok":
-        return list(coords) + [
-            cell.band,
-            fnum(cell.value.real),
-            fnum(cell.value.imag),
-            fnum(cell.error_estimate),
-            cell.status,
-        ]
-    return list(coords) + [cell.band, None, None, None, cell.status]
-
-
-def common_options(fn):
-    for deco in reversed(
-        [
-            click.option("--model", default="nv-dirac", show_default=True),
-            click.option("--band", type=click.IntRange(-1, 1), default=0, show_default=True),
-            click.option("--out", required=True, type=click.Path(dir_okay=False)),
-            click.option(
-                "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                show_default=True,
-            ),
-            click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
-            click.option("--step-h", type=float, default=DEFAULT_STEP_H, show_default=True),
-            click.option("--config", "config_path", type=click.Path(exists=False), default=None),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+MODEL = click.option("--model", default="nv-dirac", show_default=True)
+OUT = click.option("--out", required=True, type=click.Path(dir_okay=False))
+CONFIG = click.option(
+    "--config", type=click.Path(exists=False), default=None, is_eager=True,
+    expose_value=False, callback=use_config,
+    help="file of 'key = value' lines that replace option defaults",
+)
+FORMAT = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
+)
+BAND = click.option("--band", type=click.IntRange(-1, 1), default=0, show_default=True)
+# The chi sweeps' band, process count and finite-difference ladder step.
+CHI_OPTIONS = (
+    BAND,
+    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
+    click.option("--step-h", type=float, default=DEFAULT_STEP_H, show_default=True),
+)
 
 
 @click.group()
@@ -178,257 +177,187 @@ def _family_or_usage(name):
         raise click.UsageError(str(err))
 
 
-def _run(ctx, subcommand, out, fmt, header, rows, skip=("config_path",)):
-    config = resolved_config(ctx, skip=("config_path",))
-    write_rows(out, fmt, header, rows)
-    write_manifest(out, subcommand, config, ctx.obj["t0"], len(rows))
+def command(name, *options):
+    """Register ``nhgeom <name>`` with --model, --out, --config and `options`.
+
+    The decorated body is called as body(family, out, **other_options); it
+    writes the data file and returns its row count.  This wrapper writes
+    the manifest, and turns a computation error (NhgeomError, ValueError)
+    into exit code 3, with no data file written.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(model, out, **params):
+            started = time.monotonic()
+            family = _family_or_usage(model)
+            try:
+                n_rows = body(family, out, **params)
+            except (NhgeomError, ValueError) as err:
+                click.echo(f"computation failed: {err}", err=True)
+                sys.exit(3)
+            config = {"model": model, "out": out, **params}
+            config = {k: str(v) for k, v in config.items() if v is not None}
+            write_manifest(out, name, config, started, n_rows)
+
+        for option in reversed((MODEL, OUT, *options, CONFIG)):
+            run = option(run)
+        return main.command(name)(run)
+
+    return register
 
 
-def _start(ctx, config_path):
-    apply_config(ctx, config_path)
-    ctx.ensure_object(dict)
-    ctx.obj["t0"] = time.monotonic()
-
-
-@main.command("spectrum-scan")
-@common_options
-@click.option("--box", default="-2,2,0,2", show_default=True)
-@click.option("--resolution", default="101,101", show_default=True)
-@click.pass_context
-def cmd_spectrum_scan(ctx, model, band, out, fmt, workers, step_h, config_path, box, resolution):
+@command(
+    "spectrum-scan", FORMAT,
+    click.option("--box", default="-2,2,0,2", show_default=True),
+    click.option("--resolution", default="101,101", show_default=True),
+)
+def cmd_spectrum_scan(family, out, fmt, box, resolution):
     """Eigenenergies and PT phase label on a (q1, q2) grid."""
-    _start(ctx, config_path)
-    import numpy as np
-
-    family = _family_or_usage(ctx.params["model"])
-    q1min, q1max, q2min, q2max = parse_floats(ctx.params["box"], 4, "--box")
-    nx, ny = parse_ints(ctx.params["resolution"], 2, "--resolution")
+    q1min, q1max, q2min, q2max = parse_floats(box, 4, "--box")
+    nx, ny = parse_ints(resolution, 2, "--resolution")
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
-    q1s = np.linspace(q1min, q1max, nx)
-    q2s = np.linspace(q2min, q2max, ny)
     rows = []
-    try:
-        for q2 in q2s:
-            for q1 in q1s:
-                label = classify_phase(family, (q1, q2))
-                w = np.linalg.eigvals(family.matrix((q1, q2)))
-                order = sorted(range(len(w)), key=lambda i: (-w[i].real, -w[i].imag))
-                for slot, i in enumerate(order):
-                    rows.append(
-                        [
-                            fnum(q1),
-                            fnum(q2),
-                            1 - slot,
-                            fnum(w[i].real),
-                            fnum(w[i].imag),
-                            label.label.value,
-                        ]
-                    )
-    except NhgeomError as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    _run(ctx, "spectrum-scan", ctx.params["out"], ctx.params["fmt"],
-         ["q1", "q2", "band", "re_energy", "im_energy", "phase"], rows)
+    for q2 in np.linspace(q2min, q2max, ny):
+        for q1 in np.linspace(q1min, q1max, nx):
+            h = family.matrix((q1, q2))
+            w = np.linalg.eigvals(h)
+            label = phase_of(w, matrix_scale(h)).label.value
+            order = sorted(range(len(w)), key=lambda i: (-w[i].real, -w[i].imag))
+            for slot, i in enumerate(order):
+                rows.append(
+                    [fnum(q1), fnum(q2), 1 - slot, fnum(w[i].real), fnum(w[i].imag), label]
+                )
+    return write_rows(out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], rows)
 
 
-@main.command("chi-scan")
-@common_options
-@click.option("--box", default="-1.5,1.5,0,2", show_default=True)
-@click.option("--resolution", default="41,41", show_default=True)
-@click.option("--direction", default="0,1", show_default=True)
-@click.pass_context
-def cmd_chi_scan(ctx, model, band, out, fmt, workers, step_h, config_path, box, resolution, direction):
+@command(
+    "chi-scan", FORMAT, *CHI_OPTIONS,
+    click.option("--box", default="-1.5,1.5,0,2", show_default=True),
+    click.option("--resolution", default="41,41", show_default=True),
+    click.option("--direction", default="0,1", show_default=True),
+)
+def cmd_chi_scan(family, out, fmt, band, workers, step_h, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
-    _start(ctx, config_path)
-    family = _family_or_usage(ctx.params["model"])
-    boxv = parse_floats(ctx.params["box"], 4, "--box")
-    nx, ny = parse_ints(ctx.params["resolution"], 2, "--resolution")
+    boxv = parse_floats(box, 4, "--box")
+    nx, ny = parse_ints(resolution, 2, "--resolution")
     if nx < 2 or ny < 2:
         raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
-    dirv = parse_floats(ctx.params["direction"], 2, "--direction")
-    try:
-        cells = grid_scan(
-            family, tuple(boxv), (nx, ny), ctx.params["band"], tuple(dirv),
-            h=ctx.params["step_h"], workers=ctx.params["workers"],
-        )
-    except (NhgeomError, ValueError) as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    rows = [chi_value_row([fnum(c.coords[0]), fnum(c.coords[1])], c) for c in cells]
-    _run(ctx, "chi-scan", ctx.params["out"], ctx.params["fmt"],
-         ["q1", "q2", "band", "re_chi", "im_chi", "error_estimate", "status"], rows)
+    dirv = parse_floats(direction, 2, "--direction")
+    cells = grid_scan(
+        family, tuple(boxv), (nx, ny), band, tuple(dirv), h=step_h, workers=workers
+    )
+    return write_chi(out, fmt, ["q1", "q2"], cells)
 
 
-@main.command("line-cut")
-@common_options
-@click.option("--q1", type=float, default=0.0, show_default=True)
-@click.option("--q2-range", default="0,2", show_default=True)
-@click.option("--n-points", type=click.IntRange(min=2), default=201, show_default=True)
-@click.option("--direction", default="0,1", show_default=True)
-@click.pass_context
-def cmd_line_cut(ctx, model, band, out, fmt, workers, step_h, config_path, q1, q2_range, n_points, direction):
+@command(
+    "line-cut", FORMAT, *CHI_OPTIONS,
+    click.option("--q1", type=float, default=0.0, show_default=True),
+    click.option("--q2-range", default="0,2", show_default=True),
+    click.option("--n-points", type=click.IntRange(min=2), default=201, show_default=True),
+    click.option("--direction", default="0,1", show_default=True),
+)
+def cmd_line_cut(family, out, fmt, band, workers, step_h, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
-    _start(ctx, config_path)
-    import numpy as np
-
-    family = _family_or_usage(ctx.params["model"])
-    q2lo, q2hi = parse_floats(ctx.params["q2_range"], 2, "--q2-range")
-    dirv = parse_floats(ctx.params["direction"], 2, "--direction")
-    q1v = ctx.params["q1"]
-    q2s = np.linspace(q2lo, q2hi, ctx.params["n_points"])
-    from .geometry import _chi_cell, _run_cells, unit
-
-    tasks = [
-        (family, (q1v, q2), ParameterPoint(q1v, q2), ctx.params["band"],
-         unit(dirv), ctx.params["step_h"])
-        for q2 in q2s
-    ]
-    try:
-        cells = _run_cells(tasks, ctx.params["workers"])
-    except (NhgeomError, ValueError) as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    rows = [chi_value_row([fnum(c.coords[0]), fnum(c.coords[1])], c) for c in cells]
-    _run(ctx, "line-cut", ctx.params["out"], ctx.params["fmt"],
-         ["q1", "q2", "band", "re_chi", "im_chi", "error_estimate", "status"], rows)
+    q2lo, q2hi = parse_floats(q2_range, 2, "--q2-range")
+    dirv = parse_floats(direction, 2, "--direction")
+    cells = line_scan(
+        family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv, h=step_h, workers=workers
+    )
+    return write_chi(out, fmt, ["q1", "q2"], cells)
 
 
-@main.command("straddle")
-@common_options
-@click.option("--q1", type=float, default=0.0, show_default=True)
-@click.option("--q2-range", default="1.2,1.45", show_default=True)
-@click.option("--n-points", type=click.IntRange(min=1), default=51, show_default=True)
-@click.option("--delta", type=float, default=0.05, show_default=True)
-@click.pass_context
-def cmd_straddle(ctx, model, band, out, fmt, workers, step_h, config_path, q1, q2_range, n_points, delta):
+@command(
+    "straddle", FORMAT, BAND,
+    click.option("--q1", type=float, default=0.0, show_default=True),
+    click.option("--q2-range", default="1.2,1.45", show_default=True),
+    click.option("--n-points", type=click.IntRange(min=1), default=51, show_default=True),
+    click.option("--delta", type=float, default=0.05, show_default=True),
+)
+def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
-    _start(ctx, config_path)
-    import numpy as np
-
-    family = _family_or_usage(ctx.params["model"])
-    q2lo, q2hi = parse_floats(ctx.params["q2_range"], 2, "--q2-range")
-    if ctx.params["delta"] <= 0:
+    q2lo, q2hi = parse_floats(q2_range, 2, "--q2-range")
+    if delta <= 0:
         raise click.UsageError("--delta must be positive")
-    q2s = np.linspace(q2lo, q2hi, ctx.params["n_points"])
-    try:
-        cells = straddle_fidelity(
-            family, ctx.params["band"], q2s, ctx.params["delta"], q1=ctx.params["q1"]
-        )
-    except (NhgeomError, ValueError) as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
+    cells = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
     rows = []
     for c in cells:
-        base = [fnum(c.coords[0]), fnum(c.coords[1]), fnum(ctx.params["delta"]), c.band]
+        base = [fnum(c.coords[0]), fnum(c.coords[1]), fnum(delta), c.band]
         if c.status == "ok":
             rows.append(base + [fnum(c.value.real), fnum(c.value.imag), c.status])
         else:
             rows.append(base + [None, None, c.status])
-    _run(ctx, "straddle", ctx.params["out"], ctx.params["fmt"],
-         ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], rows)
+    return write_rows(out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], rows)
 
 
-@main.command("polar")
-@common_options
-@click.option("--center", default="0,1", show_default=True)
-@click.option("--radii", default="0.1,0.2,0.3", show_default=True)
-@click.option("--n-angles", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--angles", default=None, help="explicit comma-separated angles, overrides --n-angles")
-@click.pass_context
-def cmd_polar(ctx, model, band, out, fmt, workers, step_h, config_path, center, radii, n_angles, angles):
+@command(
+    "polar", FORMAT, *CHI_OPTIONS,
+    click.option("--center", default="0,1", show_default=True),
+    click.option("--radii", default="0.1,0.2,0.3", show_default=True),
+    click.option("--n-angles", type=click.IntRange(min=1), default=64, show_default=True),
+    click.option("--angles", default=None,
+                 help="explicit comma-separated angles, overrides --n-angles"),
+)
+def cmd_polar(family, out, fmt, band, workers, step_h, center, radii, n_angles, angles):
     """Radial susceptibility versus polar angle around a center point."""
-    _start(ctx, config_path)
-    family = _family_or_usage(ctx.params["model"])
-    centerv = parse_floats(ctx.params["center"], 2, "--center")
-    radiiv = parse_floats(ctx.params["radii"], None, "--radii")
-    if ctx.params["angles"] is not None:
-        anglesv = parse_floats(ctx.params["angles"], None, "--angles")
+    centerv = parse_floats(center, 2, "--center")
+    radiiv = parse_floats(radii, None, "--radii")
+    if angles is not None:
+        anglesv = parse_floats(angles, None, "--angles")
     else:
-        n = ctx.params["n_angles"]
-        anglesv = [2 * math.pi * k / n for k in range(n)]
+        anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
     if not radiiv:
         raise click.UsageError("--radii must be nonempty")
-    if min(radiiv) <= ctx.params["step_h"]:
-        raise click.UsageError(
-            f"all radii must exceed the step ladder h={ctx.params['step_h']:g}"
-        )
-    try:
-        cells = polar_sweep(
-            family, tuple(centerv), radiiv, anglesv, ctx.params["band"],
-            h=ctx.params["step_h"], workers=ctx.params["workers"],
-        )
-    except (NhgeomError, ValueError) as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    rows = [chi_value_row([fnum(c.coords[0]), fnum(c.coords[1])], c) for c in cells]
-    _run(ctx, "polar", ctx.params["out"], ctx.params["fmt"],
-         ["r", "phi", "band", "re_chi", "im_chi", "error_estimate", "status"], rows)
+    if min(radiiv) <= step_h:
+        raise click.UsageError(f"all radii must exceed the step ladder h={step_h:g}")
+    cells = polar_sweep(
+        family, tuple(centerv), radiiv, anglesv, band, h=step_h, workers=workers
+    )
+    return write_chi(out, fmt, ["r", "phi"], cells)
 
 
-@main.command("ep-locate")
-@common_options
-@click.option("--segment", required=True, help="q1a,q2a,q1b,q2b endpoints")
-@click.pass_context
-def cmd_ep_locate(ctx, model, band, out, fmt, workers, step_h, config_path, segment):
+@command(
+    "ep-locate", FORMAT,
+    click.option("--segment", required=True, help="q1a,q2a,q1b,q2b endpoints"),
+)
+def cmd_ep_locate(family, out, fmt, segment):
     """Locate and classify an exceptional point on a parameter segment."""
-    _start(ctx, config_path)
-    family = _family_or_usage(ctx.params["model"])
-    a1, a2, b1, b2 = parse_floats(ctx.params["segment"], 4, "--segment")
-    try:
-        ep = find_ep_on_segment(family, (a1, a2), (b1, b2))
-    except NhgeomError as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    outp = ctx.params["out"]
-    config = resolved_config(ctx, skip=("config_path",))
-    if ctx.params["fmt"] == "json":
-        record = {
+    a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
+    ep = find_ep_on_segment(family, (a1, a2), (b1, b2))
+    if fmt == "json":
+        return write_record(out, {
             "point": [ep.point.q1, ep.point.q2],
             "energy": [ep.coalesced_energy.real, ep.coalesced_energy.imag],
             "kind": ep.kind.value,
             "defect_measure": ep.defect_measure,
-        }
-        with open(outp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
-        write_manifest(outp, "ep-locate", config, ctx.obj["t0"], 1)
-    else:
-        rows = [
-            [
-                fnum(ep.point.q1),
-                fnum(ep.point.q2),
-                fnum(ep.coalesced_energy.real),
-                fnum(ep.coalesced_energy.imag),
-                ep.kind.value,
-                fnum(ep.defect_measure),
-            ]
-        ]
-        _run(ctx, "ep-locate", outp, "csv",
-             ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"], rows)
+        })
+    row = [
+        fnum(ep.point.q1),
+        fnum(ep.point.q2),
+        fnum(ep.coalesced_energy.real),
+        fnum(ep.coalesced_energy.imag),
+        ep.kind.value,
+        fnum(ep.defect_measure),
+    ]
+    return write_rows(
+        out, "csv", ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"], [row]
+    )
 
 
-@main.command("trace-line")
-@common_options
-@click.option("--segment", required=True, help="seed search segment q1a,q2a,q1b,q2b")
-@click.option("--step", type=float, default=0.05, show_default=True)
-@click.option("--max-points", type=click.IntRange(min=1), default=40, show_default=True)
-@click.option("--box", default="-2,2,0,2", show_default=True)
-@click.pass_context
-def cmd_trace_line(ctx, model, band, out, fmt, workers, step_h, config_path, segment, step, max_points, box):
+@command(
+    "trace-line", FORMAT,
+    click.option("--segment", required=True, help="seed search segment q1a,q2a,q1b,q2b"),
+    click.option("--step", type=float, default=0.05, show_default=True),
+    click.option("--max-points", type=click.IntRange(min=1), default=40, show_default=True),
+    click.option("--box", default="-2,2,0,2", show_default=True),
+)
+def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
-    _start(ctx, config_path)
-    family = _family_or_usage(ctx.params["model"])
-    a1, a2, b1, b2 = parse_floats(ctx.params["segment"], 4, "--segment")
-    boxv = parse_floats(ctx.params["box"], 4, "--box")
-    try:
-        seed = find_ep_on_segment(family, (a1, a2), (b1, b2), classify=False)
-        points = trace_exceptional_line(
-            family, seed, ctx.params["step"], ctx.params["max_points"], box=tuple(boxv)
-        )
-    except NhgeomError as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
+    a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
+    boxv = parse_floats(box, 4, "--box")
+    seed = find_ep_on_segment(family, (a1, a2), (b1, b2), classify=False)
+    points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
     rows = [
         [
             fnum(ep.point.q1),
@@ -439,54 +368,33 @@ def cmd_trace_line(ctx, model, band, out, fmt, workers, step_h, config_path, seg
         ]
         for ep in points
     ]
-    _run(ctx, "trace-line", ctx.params["out"], ctx.params["fmt"],
-         ["q1", "q2", "re_energy", "im_energy", "defect_measure"], rows)
+    return write_rows(out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"], rows)
 
 
-@main.command("jordan")
-@common_options
-@click.option("--point", required=True, help="parameter point q1,q2")
-@click.option("--energy", default=None, help="re[,im]; default: closest coalescing pair")
-@click.option("--n-angles", type=click.IntRange(min=4), default=8, show_default=True)
-@click.pass_context
-def cmd_jordan(ctx, model, band, out, fmt, workers, step_h, config_path, point, energy, n_angles):
+@command(
+    "jordan",
+    click.option("--point", required=True, help="parameter point q1,q2"),
+    click.option("--energy", default=None, help="re[,im]; default: closest coalescing pair"),
+    click.option("--n-angles", type=click.IntRange(min=4), default=8, show_default=True),
+)
+def cmd_jordan(family, out, point, energy, n_angles):
     """Jordan chain and dispersion diagnostics at a degenerate point."""
-    _start(ctx, config_path)
-    import numpy as np
-
-    from .spectral import EPKind, EPLocation, _gram_defect
-
-    family = _family_or_usage(ctx.params["model"])
-    q1, q2 = parse_floats(ctx.params["point"], 2, "--point")
+    q1, q2 = parse_floats(point, 2, "--point")
     h = family.matrix((q1, q2))
-    if ctx.params["energy"] is not None:
-        parts = parse_floats(ctx.params["energy"], None, "--energy")
+    if energy is not None:
+        parts = parse_floats(energy, None, "--energy")
         if len(parts) not in (1, 2):
             raise click.UsageError("--energy takes 're' or 're,im'")
         ev = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
     else:
         w = np.linalg.eigvals(h)
-        pairs = [
-            (abs(w[i] - w[j]), (w[i] + w[j]) / 2)
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-        ]
-        ev = complex(min(pairs, key=lambda t: t[0])[1])
-    try:
-        chain = jordan_chain(h, ev)
-        ep = EPLocation(
-            point=ParameterPoint(q1, q2),
-            coalesced_energy=ev,
-            kind=EPKind.UNCLASSIFIED,
-            defect_measure=_gram_defect(family, (q1, q2)),
-        )
-        n = ctx.params["n_angles"]
-        diags = [sqrt_coefficient(family, ep, 2 * math.pi * k / n) for k in range(n)]
-        kind = classify_ep(family, ep, angle_samples=n)
-    except NhgeomError as err:
-        click.echo(f"computation failed: {err}", err=True)
-        sys.exit(3)
-    record = {
+        _, i, j = closest_pair(w)
+        ev = complex((w[i] + w[j]) / 2)
+    chain = jordan_chain(h, ev)
+    ep = ep_at(family, ParameterPoint(q1, q2), ev)
+    diags = [sqrt_coefficient(family, ep, 2 * math.pi * k / n_angles) for k in range(n_angles)]
+    kind = classify_ep(family, ep, angle_samples=n_angles)
+    return write_record(out, {
         "point": [q1, q2],
         "energy": [ev.real, ev.imag],
         "kind": kind.value,
@@ -506,13 +414,7 @@ def cmd_jordan(ctx, model, band, out, fmt, workers, step_h, config_path, point, 
             }
             for d in diags
         ],
-    }
-    outp = ctx.params["out"]
-    with open(outp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    write_manifest(outp, "jordan", resolved_config(ctx, skip=("config_path",)),
-                   ctx.obj["t0"], 1)
+    })
 
 
 if __name__ == "__main__":

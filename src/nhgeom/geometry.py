@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import eigendecompose, matrix_scale
 from .model import ParameterPoint, as_point
-from .spectral import Phase, PhaseLabel, min_gap
+from .spectral import min_gap, phase_of
 
 DEFAULT_STEP_H = 1e-3
 LADDER_HALVINGS = 4  # steps h, h/2, h/4, h/8
@@ -140,22 +140,6 @@ def fidelity_from_systems(ref_sys, disp_sys, idx, disp_idx):
     return complex((l_disp @ r_ref) * (l_ref @ r_disp))
 
 
-def _phase_from_system(system, scale):
-    from .spectral import NEAR_EP_GAP_TOL, REALITY_TOL
-
-    w = system.energies
-    max_imag = float(np.max(np.abs(w.imag)))
-    n = len(w)
-    gap = min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n))
-    if gap <= NEAR_EP_GAP_TOL * scale:
-        label = Phase.NEAR_EP
-    elif max_imag > REALITY_TOL * scale:
-        label = Phase.BROKEN
-    else:
-        label = Phase.UNBROKEN
-    return PhaseLabel(label=label, max_imag=max_imag, min_gap=gap)
-
-
 def fidelity(family, band, p, d):
     """Biorthogonal fidelity of `band` between p and p + d.
 
@@ -170,7 +154,7 @@ def fidelity(family, band, p, d):
     sys1 = eigendecompose(h1)
     idx = band_index(band, sys1.dim)
     _check_band_flag(sys1, idx, p)
-    label1 = _phase_from_system(sys1, matrix_scale(h1))
+    label1 = phase_of(sys1.energies, matrix_scale(h1))
 
     if d.magnitude == 0.0:
         return FidelityResult(
@@ -183,7 +167,7 @@ def fidelity(family, band, p, d):
 
     h2 = family.matrix(p2)
     sys2 = eigendecompose(h2)
-    label2 = _phase_from_system(sys2, matrix_scale(h2))
+    label2 = phase_of(sys2.energies, matrix_scale(h2))
     disp_idx, overlaps, runner_up = _match_displaced_band(sys1, idx, sys2)
     _check_band_flag(sys2, disp_idx, p2)
 
@@ -261,14 +245,12 @@ class ScanCell:
     error_estimate: Optional[float]
 
 
-def _status_of(err):
-    if isinstance(err, NormalizationBreakdownError):
-        return STATUS_EP_BREAKDOWN
-    if isinstance(err, BandAmbiguityError):
-        return STATUS_BAND_AMBIGUOUS
-    if isinstance(err, StepsTooLargeError):
-        return STATUS_STEP_TOO_LARGE
-    raise err
+# Per-cell breakdowns that a sweep reports as a status instead of raising.
+CELL_STATUS = {
+    NormalizationBreakdownError: STATUS_EP_BREAKDOWN,
+    BandAmbiguityError: STATUS_BAND_AMBIGUOUS,
+    StepsTooLargeError: STATUS_STEP_TOO_LARGE,
+}
 
 
 def _chi_cell(args):
@@ -276,12 +258,8 @@ def _chi_cell(args):
     try:
         res = susceptibility(family, band, point, direction, h=h)
         return ScanCell(coords, band, STATUS_OK, res.value, res.error_estimate)
-    except (
-        NormalizationBreakdownError,
-        BandAmbiguityError,
-        StepsTooLargeError,
-    ) as err:
-        return ScanCell(coords, band, _status_of(err), None, None)
+    except tuple(CELL_STATUS) as err:
+        return ScanCell(coords, band, CELL_STATUS[type(err)], None, None)
 
 
 def _run_cells(tasks, workers):
@@ -308,6 +286,15 @@ def grid_scan(family, box, resolution, band, direction, h=DEFAULT_STEP_H, worker
         (family, (q1s[ix], q2s[iy]), ParameterPoint(q1s[ix], q2s[iy]), band, direction, h)
         for iy in range(ny)
         for ix in range(nx)
+    ]
+    return _run_cells(tasks, workers)
+
+
+def line_scan(family, q1, q2_values, band, direction, h=DEFAULT_STEP_H, workers=1):
+    """Susceptibility at (q1, q2) for each q2 in `q2_values`, in order."""
+    direction = unit(direction)
+    tasks = [
+        (family, (q1, q2), ParameterPoint(q1, q2), band, direction, h) for q2 in q2_values
     ]
     return _run_cells(tasks, workers)
 
@@ -355,6 +342,6 @@ def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
         try:
             res = fidelity(family, band, p, d)
             cells.append(ScanCell((p.q1, p.q2), band, STATUS_OK, res.value, 0.0))
-        except (NormalizationBreakdownError, BandAmbiguityError) as err:
-            cells.append(ScanCell((p.q1, p.q2), band, _status_of(err), None, None))
+        except tuple(CELL_STATUS) as err:
+            cells.append(ScanCell((p.q1, p.q2), band, CELL_STATUS[type(err)], None, None))
     return cells

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for small non-Hermitian matrices.
 
 Provides eigendecomposition with matched, biorthogonally normalized
-left/right eigenvector pairs, minimum-norm linear solves, numerical
-null spaces, and overlap-based band matching between two eigensystems.
+left/right eigenvector pairs, minimum-norm linear solves, and numerical
+null spaces.
 
 All routines operate on plain numpy arrays (complex dtype) of dimension
 N <= 16 and are pure functions: safe for concurrent use.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 import scipy.linalg as sla
@@ -163,34 +162,3 @@ def null_space(a, rank_tol=1e-10):
     _, s,vh = np.linalg.svd(a)
     thresh = rank_tol * (s[0] if s.size else 0.0)
     return [vh[i].conj() for i in range(a.shape[0]) if s[i] <= thresh]
-
-
-def overlap_matrix(prev, next_):
-    """|<L_n(prev) | R_m(next)>| for all band pairs."""
-    if prev.dim != next_.dim:
-        raise DimensionMismatchError(
-            f"eigensystem dimensions differ: {prev.dim} vs {next_.dim}"
-        )
-    return np.abs(prev.lefts @ next_.rights)
-
-
-def match_bands(prev, next_):
-    """Permutation pi with band n of `prev` continuing as band pi[n] of `next_`.
-
-    Maximizes the total |<L_n|R_pi(n)>| overlap by exact assignment
-    (exhaustive for N <= 8, Hungarian algorithm above), with deterministic
-    lexicographic tie-breaking.
-    """
-    m = overlap_matrix(prev, next_)
-    n = m.shape[0]
-    if n <= 8:
-        best, best_score = None, -np.inf
-        for perm in permutations(range(n)):
-            score = sum(m[i, perm[i]] for i in range(n))
-            if score > best_score + 1e-15:
-                best, best_score = perm, score
-        return tuple(best)
-    from scipy.optimize import linear_sum_assignment
-
-    _, cols = linear_sum_assignment(-m)
-    return tuple(int(c) for c in cols)

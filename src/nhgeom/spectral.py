@@ -11,7 +11,7 @@ predictor-corrector continuation.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,23 +55,21 @@ class EPLocation:
     defect_measure: float
 
 
-def _spectrum(family, p):
-    h = family.matrix(p)
-    return np.linalg.eigvals(h), matrix_scale(h)
+def closest_pair(w):
+    """(gap, i, j): the smallest |w[i] - w[j]| over i < j, first such pair.
 
-
-def min_gap(family, p):
-    """Smallest pairwise eigenvalue distance of H(p)."""
-    w, _ = _spectrum(family, p)
+    A scalar loop on purpose: at n = 3 it is about twice as fast as a
+    vectorised gap matrix, and the matrix form can differ in the last bit,
+    which would move the golden-section search in find_ep_on_segment.
+    """
     n = len(w)
-    return min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n))
+    return min((abs(w[i] - w[j]), i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def classify_phase(family, p):
-    w, scale = _spectrum(family, p)
+def phase_of(w, scale):
+    """PT phase label of the eigenvalues `w` of a matrix of norm `scale`."""
     max_imag = float(np.max(np.abs(w.imag)))
-    n = len(w)
-    gap = min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n))
+    gap = closest_pair(w)[0]
     if gap <= NEAR_EP_GAP_TOL * scale:
         label = Phase.NEAR_EP
     elif max_imag > REALITY_TOL * scale:
@@ -79,6 +77,16 @@ def classify_phase(family, p):
     else:
         label = Phase.UNBROKEN
     return PhaseLabel(label=label, max_imag=max_imag, min_gap=gap)
+
+
+def min_gap(family, p):
+    """Smallest pairwise eigenvalue distance of H(p)."""
+    return closest_pair(np.linalg.eigvals(family.matrix(p)))[0]
+
+
+def classify_phase(family, p):
+    h = family.matrix(p)
+    return phase_of(np.linalg.eigvals(h), matrix_scale(h))
 
 
 def discriminant(family, p):
@@ -103,12 +111,19 @@ def discriminant(family, p):
     )
 
 
-def _gram_defect(family, p):
-    """Smallest singular value of the unit right-eigenvector Gram matrix."""
+def ep_at(family, p, energy):
+    """Unclassified EPLocation at `p` with its eigenvector Gram defect.
+
+    The defect is the smallest singular value of the Gram matrix of the
+    unit right eigenvectors of H(p): zero where two of them coincide.
+    """
     _, v = np.linalg.eig(family.matrix(p))
     v = v / np.linalg.norm(v, axis=0)[None, :]
     g = v.conj().T @ v
-    return float(np.linalg.svd(g, compute_uv=False)[-1])
+    defect = float(np.linalg.svd(g, compute_uv=False)[-1])
+    return EPLocation(
+        point=p, coalesced_energy=energy, kind=EPKind.UNCLASSIFIED, defect_measure=defect
+    )
 
 
 def _golden_min(f, lo, hi, xtol):
@@ -218,25 +233,17 @@ def find_ep_on_segment(family, a, b, coarse=201, classify=True):
         gap_min = gap_at(t_star)
 
     p_star = point_at(t_star)
-    scale = matrix_scale(family.matrix(p_star))
+    h = family.matrix(p_star)
+    scale = matrix_scale(h)
     if gap_min > EP_FOUND_GAP_TOL * scale:
         raise EPNotFoundError(
             f"minimal gap {gap_min:.3e} on segment {a} -> {b} stays above "
             f"the EP threshold {EP_FOUND_GAP_TOL * scale:.3e}"
         )
 
-    w, _ = _spectrum(family, p_star)
-    order = np.argsort(
-        [min(abs(w[k] - w[m]) for m in range(len(w)) if m != k) for k in range(len(w))]
-    )
-    pair = w[order[:2]]
-    energy = complex(pair.mean())
-    ep = EPLocation(
-        point=p_star,
-        coalesced_energy=energy,
-        kind=EPKind.UNCLASSIFIED,
-        defect_measure=_gram_defect(family, p_star),
-    )
+    w = np.linalg.eigvals(h)
+    _, i, j = closest_pair(w)
+    ep = ep_at(family, p_star, complex((w[i] + w[j]) / 2))
     if classify:
         from .jordan import classify_ep
 
@@ -244,12 +251,7 @@ def find_ep_on_segment(family, a, b, coarse=201, classify=True):
             kind = classify_ep(family, ep)
         except Exception:
             kind = EPKind.UNCLASSIFIED
-        ep = EPLocation(
-            point=ep.point,
-            coalesced_energy=ep.coalesced_energy,
-            kind=kind,
-            defect_measure=ep.defect_measure,
-        )
+        ep = replace(ep, kind=kind)
     return ep
 
 

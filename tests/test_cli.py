@@ -123,6 +123,16 @@ class TestLineCut:
         assert chis[-1] == min(chis)
 
 
+    def test_zero_direction_exits_3(self, runner, tmp_path):
+        out = tmp_path / "cut.csv"
+        result = runner.invoke(main, [
+            "line-cut", "--n-points", "3", "--direction", "0,0", "--out", str(out),
+        ])
+        assert result.exit_code == 3
+        assert "zero direction vector" in result.output
+        assert not out.exists()
+
+
 class TestStraddle:
     def test_approaches_half(self, runner, tmp_path):
         out = tmp_path / "straddle.csv"
@@ -221,6 +231,13 @@ class TestJordanCommand:
         ])
         assert result.exit_code == 3
 
+    def test_nonfinite_point_exits_3(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["jordan", "--point", "nan,1", "--out", str(out)])
+        assert result.exit_code == 3
+        assert "computation failed" in result.output
+        assert not out.exists()
+
 
 class TestConfigAndManifest:
     def test_manifest_written(self, runner, tmp_path):
@@ -270,8 +287,60 @@ class TestConfigAndManifest:
         _, rows2 = read_csv(out2)
         assert {r[2] for r in rows2} == {"1"}
 
+    def test_config_supplies_required_out(self, runner, tmp_path):
+        out = tmp_path / "from_cfg.csv"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {out}\nresolution = 2,2\n")
+        run_ok(runner, ["spectrum-scan", "--config", str(cfg)])
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 2 * 3
+        manifest = json.loads((tmp_path / "from_cfg.csv.manifest.json").read_text())
+        assert manifest["config"]["out"] == str(out)
+        assert "config" not in manifest["config"]
+
+    def test_unreadable_config_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "chi-scan", "--config", str(tmp_path / "missing.cfg"),
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
+
     def test_unknown_model_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "chi-scan", "--model", "nope", "--out", str(tmp_path / "x.csv"),
         ])
         assert result.exit_code == 2
+
+
+# Valid arguments for each command, so that only the flag under test can fail.
+BASE_ARGS = {
+    "spectrum-scan": ["--resolution", "2,2"],
+    "straddle": ["--n-points", "2"],
+    "ep-locate": ["--segment", "0,0.5,0,1.3"],
+    "trace-line": ["--segment", "0,1.2,0,1.7", "--max-points", "2"],
+    "jordan": ["--point", "0,1"],
+}
+FLAG_VALUES = {"--band": "0", "--workers": "1", "--step-h": "0.001", "--format": "csv"}
+IGNORED_FLAGS = [
+    ("spectrum-scan", "--band"),
+    ("ep-locate", "--band"),
+    ("trace-line", "--band"),
+    ("jordan", "--band"),
+] + [
+    (command, flag)
+    for command in ("spectrum-scan", "straddle", "ep-locate", "trace-line", "jordan")
+    for flag in ("--workers", "--step-h")
+] + [("jordan", "--format")]
+
+
+@pytest.mark.parametrize("command,flag", IGNORED_FLAGS)
+def test_command_rejects_options_it_does_not_use(runner, tmp_path, command, flag):
+    out = tmp_path / "x.out"
+    args = [command, *BASE_ARGS[command], "--out", str(out)]
+    result = runner.invoke(main, args + [flag, FLAG_VALUES[flag]])
+    assert result.exit_code == 2
+    assert f"No such option '{flag}'" in result.output
+    assert not out.exists()
+    run_ok(runner, args)
+    assert out.exists()

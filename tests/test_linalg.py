@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from nhgeom import (
-    DimensionMismatchError,
     NonFiniteError,
     NormalizationBreakdownError,
     eigendecompose,
-    match_bands,
     matrix_scale,
     null_space,
-    overlap_matrix,
     solve_linear,
 )
 from nhgeom.linalg import TOL_BIORTH, TOL_COMPLETE, TOL_RESID
@@ -146,35 +143,3 @@ class TestNullSpace:
         assert len(basis) == 3
         g = np.array(basis)
         assert np.allclose(g @ g.conj().T, np.eye(3), atol=1e-12)
-
-
-class TestMatchBands:
-    def test_identity_permutation(self, family):
-        sys = eigendecompose(family.matrix((0.3, 0.4)))
-        assert match_bands(sys, sys) == (0, 1, 2)
-
-    def test_swapped_bands(self, family):
-        sys = eigendecompose(family.matrix((0.3, 0.4)))
-        swapped = type(sys)(
-            energies=sys.energies[[1, 0, 2]],
-            rights=sys.rights[:, [1, 0, 2]],
-            lefts=sys.lefts[[1, 0, 2]],
-            residuals=sys.residuals[[1, 0, 2]],
-            condition_flags=sys.condition_flags[[1, 0, 2]],
-        )
-        assert match_bands(sys, swapped) == (1, 0, 2)
-
-    def test_neighboring_points_identity(self, family):
-        a = eigendecompose(family.matrix((0.0, 0.9)))
-        b = eigendecompose(family.matrix((0.0, 0.91)))
-        m = overlap_matrix(a, b)
-        # diagonally dominant: bands well separated across the step
-        for i in range(3):
-            assert m[i, i] > max(m[i, j] for j in range(3) if j != i)
-        assert match_bands(a, b) == (0, 1, 2)
-
-    def test_dimension_mismatch(self, family):
-        a = eigendecompose(family.matrix((0.0, 0.5)))
-        b = eigendecompose(np.diag([1.0, 2.0]))
-        with pytest.raises(DimensionMismatchError):
-            match_bands(a, b)

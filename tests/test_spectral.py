@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhgeom import (
     EPKind,
@@ -11,7 +13,7 @@ from nhgeom import (
     find_ep_on_segment,
     trace_exceptional_line,
 )
-from nhgeom.spectral import min_gap
+from nhgeom.spectral import closest_pair, min_gap
 
 from conftest import nv_axis_energies, sorted_complex
 
@@ -163,3 +165,80 @@ class TestTraceLine:
         for f, b in zip(fwd, bwd):
             assert f.point.q1 == pytest.approx(-b.point.q1, abs=1e-6)
             assert f.point.q2 == pytest.approx(b.point.q2, abs=1e-6)
+
+
+# Reference pair choices, as the library wrote them before closest_pair
+# replaced them: min_gap's loop, find_ep_on_segment's nearest-neighbour
+# ranking and the jordan command's closest pair.
+def reference_min_gap(w):
+    n = len(w)
+    return min(abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n))
+
+
+def reference_nearest_neighbours(w):
+    """(sorted pair, mean energy) of the two smallest nearest-neighbour gaps."""
+    order = np.argsort(
+        [min(abs(w[k] - w[m]) for m in range(len(w)) if m != k) for k in range(len(w))]
+    )
+    return sorted(int(k) for k in order[:2]), complex(w[order[:2]].mean())
+
+
+def reference_jordan_pair(w):
+    pairs = [
+        (abs(w[i] - w[j]), (i, j)) for i in range(len(w)) for j in range(i + 1, len(w))
+    ]
+    return min(pairs, key=lambda t: t[0])[1]
+
+
+def bits(x):
+    return float(x).hex()
+
+
+# Small Gaussian integers give many exact ties; wider floats give generic spectra.
+components = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+complex_triples = st.lists(
+    st.builds(complex, components, components), min_size=3, max_size=3
+).map(lambda zs: np.array(zs, dtype=complex))
+
+
+class TestClosestPair:
+    def check_against_references(self, w):
+        gap, i, j = closest_pair(w)
+        assert bits(gap) == bits(reference_min_gap(w))
+        assert (i, j) == reference_jordan_pair(w)
+        energy = complex((w[i] + w[j]) / 2)
+        nn_pair, nn_energy = reference_nearest_neighbours(w)
+        if bits(abs(w[nn_pair[0]] - w[nn_pair[1]])) == bits(gap):
+            assert nn_pair == [i, j]
+            assert (bits(nn_energy.real), bits(nn_energy.imag)) == (
+                bits(energy.real), bits(energy.imag))
+        else:
+            # The ranking's one miss: w[2] equidistant from w[0] and w[1] and
+            # nearer to both than they are to each other.
+            assert nn_pair == [0, 1] and (i, j) == (0, 2)
+            assert bits(abs(w[0] - w[2])) == bits(abs(w[1] - w[2])) == bits(gap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+    def test_nv_spectra(self, family, q1, q2):
+        self.check_against_references(np.linalg.eigvals(family.matrix((q1, q2))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(complex_triples)
+    def test_random_triples_with_ties(self, w):
+        self.check_against_references(w)
+
+    def test_exact_ties_pick_the_first_pair(self):
+        assert closest_pair(np.array([0j, 1 + 0j, 2 + 0j])) == (1.0, 0, 1)
+        assert closest_pair(np.array([1j, 1j, 1j])) == (0.0, 0, 1)
+        # The nearest-neighbour ranking took (0, 1) here, a pair 2 apart.
+        w = np.array([1 + 0j, -1 + 0j, 0j])
+        assert closest_pair(w) == (1.0, 0, 2)
+        assert reference_nearest_neighbours(w)[0] == [0, 1]
+
+    def test_min_gap_is_the_closest_pair_gap(self, family):
+        w = np.linalg.eigvals(family.matrix((0.3, 1.2)))
+        assert bits(min_gap(family, (0.3, 1.2))) == bits(closest_pair(w)[0])
