@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteError,
     NotDefectiveError,
     NormalizationBreakdownError,
-    StepsTooLargeError,
 )
 from .linalg import (
     BiorthogonalEigensystem,

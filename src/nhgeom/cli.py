@@ -20,13 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NhgeomError
-from .geometry import (
-    DEFAULT_STEP_H,
-    grid_scan,
-    line_scan,
-    polar_sweep,
-    straddle_fidelity,
-)
+from .geometry import grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import matrix_scale
 from .model import ParameterPoint, get_family
 from .jordan import classify_ep, jordan_chain, sqrt_coefficient
@@ -84,9 +78,26 @@ def read_config_file(path):
 
 
 def use_config(ctx, param, path):
-    """Make the config file's values the defaults of the options not given."""
-    if path:
-        ctx.default_map = read_config_file(path)
+    """Make the config file's values the defaults of the options not given.
+
+    A key is an option's long name or its parameter name (``format`` or
+    ``fmt``); a key that names no option of the command is a usage error.
+    """
+    if not path:
+        return
+    names = {}
+    for p in ctx.command.params:
+        if p.expose_value:
+            names[p.name] = p.name
+            names.update((o.lstrip("-").replace("-", "_"), p.name) for o in p.opts)
+    defaults = {}
+    for key, val in read_config_file(path).items():
+        if key not in names:
+            raise click.UsageError(
+                f"{path}: key {key!r} names no option of {ctx.info_name}"
+            )
+        defaults[names[key]] = val
+    ctx.default_map = defaults
 
 
 def write_rows(out, fmt, header, rows):
@@ -156,11 +167,11 @@ FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
 )
 BAND = click.option("--band", type=click.IntRange(-1, 1), default=0, show_default=True)
-# The chi sweeps' band, process count and finite-difference ladder step.
+# The chi sweeps' band, and a process count they no longer use.
 CHI_OPTIONS = (
     BAND,
-    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
-    click.option("--step-h", type=float, default=DEFAULT_STEP_H, show_default=True),
+    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+                 help="ignored: every scan runs in one process"),
 )
 
 
@@ -238,16 +249,14 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     click.option("--resolution", default="41,41", show_default=True),
     click.option("--direction", default="0,1", show_default=True),
 )
-def cmd_chi_scan(family, out, fmt, band, workers, step_h, box, resolution, direction):
+def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
     boxv = parse_floats(box, 4, "--box")
     nx, ny = parse_ints(resolution, 2, "--resolution")
     if nx < 2 or ny < 2:
         raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
     dirv = parse_floats(direction, 2, "--direction")
-    cells = grid_scan(
-        family, tuple(boxv), (nx, ny), band, tuple(dirv), h=step_h, workers=workers
-    )
+    cells = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
     return write_chi(out, fmt, ["q1", "q2"], cells)
 
 
@@ -258,13 +267,11 @@ def cmd_chi_scan(family, out, fmt, band, workers, step_h, box, resolution, direc
     click.option("--n-points", type=click.IntRange(min=2), default=201, show_default=True),
     click.option("--direction", default="0,1", show_default=True),
 )
-def cmd_line_cut(family, out, fmt, band, workers, step_h, q1, q2_range, n_points, direction):
+def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
     q2lo, q2hi = parse_floats(q2_range, 2, "--q2-range")
     dirv = parse_floats(direction, 2, "--direction")
-    cells = line_scan(
-        family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv, h=step_h, workers=workers
-    )
+    cells = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
     return write_chi(out, fmt, ["q1", "q2"], cells)
 
 
@@ -299,7 +306,7 @@ def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     click.option("--angles", default=None,
                  help="explicit comma-separated angles, overrides --n-angles"),
 )
-def cmd_polar(family, out, fmt, band, workers, step_h, center, radii, n_angles, angles):
+def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     """Radial susceptibility versus polar angle around a center point."""
     centerv = parse_floats(center, 2, "--center")
     radiiv = parse_floats(radii, None, "--radii")
@@ -309,11 +316,9 @@ def cmd_polar(family, out, fmt, band, workers, step_h, center, radii, n_angles, 
         anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
     if not radiiv:
         raise click.UsageError("--radii must be nonempty")
-    if min(radiiv) <= step_h:
-        raise click.UsageError(f"all radii must exceed the step ladder h={step_h:g}")
-    cells = polar_sweep(
-        family, tuple(centerv), radiiv, anglesv, band, h=step_h, workers=workers
-    )
+    if not all(r > 0 for r in radiiv):
+        raise click.UsageError(f"all radii must be positive, got {radii!r}")
+    cells = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
     return write_chi(out, fmt, ["r", "phi"], cells)
 
 

@@ -33,10 +33,6 @@ class BandAmbiguityError(NhgeomError):
         self.candidates = candidates
 
 
-class StepsTooLargeError(NhgeomError):
-    """A finite-difference step ladder would cross an exceptional point."""
-
-
 class EPNotFoundError(NhgeomError):
     """No exceptional point was found on the searched segment."""
 

@@ -2,39 +2,31 @@
 
 The fidelity between neighboring parameter points is the complex product
 of the two cross overlaps of biorthogonally normalized eigenvectors; the
-susceptibility is its quadratic coefficient, obtained from a geometric
-ladder of step sizes with first-order Richardson extrapolation.  Grid,
-polar, and boundary-straddling sweeps wrap these primitives with an
-explicit per-cell status so that the singular set shows up as data rather
-than as silently dropped points.
+susceptibility is its quadratic coefficient, evaluated exactly by the
+biorthogonal sum over states from one eigensystem and the analytic
+parameter gradient.  Grid, polar, and boundary-straddling sweeps wrap
+these primitives with an explicit per-cell status so that the singular set
+shows up as data rather than as silently dropped points.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BandAmbiguityError,
-    NormalizationBreakdownError,
-    StepsTooLargeError,
-)
+from .errors import BandAmbiguityError, NormalizationBreakdownError
 from .linalg import eigendecompose, matrix_scale
 from .model import ParameterPoint, as_point
-from .spectral import min_gap, phase_of
+from .spectral import phase_of
 
-DEFAULT_STEP_H = 1e-3
-LADDER_HALVINGS = 4  # steps h, h/2, h/4, h/8
-# A ladder step is refused when the sampled eigenvalue gap along it drops
-# below this relative threshold (the step would run into an EP).
-STEP_GAP_TOL = 1e-6
+# Prefactor of the susceptibility's conditioning bound, 16 machine epsilons;
+# see `susceptibility`.
+SOS_ERROR_FACTOR = 16 * np.finfo(float).eps
 
 STATUS_OK = "ok"
 STATUS_EP_BREAKDOWN = "ep_breakdown"
 STATUS_BAND_AMBIGUOUS = "band_ambiguous"
-STATUS_STEP_TOO_LARGE = "step_too_large"
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,6 @@ class FidelityResult:
 class SusceptibilityResult:
     value: complex
     error_estimate: float
-    steps_used: tuple
     band: int
     point: ParameterPoint
     direction: tuple
@@ -187,47 +178,38 @@ def fidelity(family, band, p, d):
     )
 
 
-def _check_ladder(family, p, direction, h):
-    """Refuse a ladder whose largest step runs into an exceptional point."""
-    scale = matrix_scale(family.matrix(p))
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        q = ParameterPoint(
-            p.q1 + t * h * direction[0], p.q2 + t * h * direction[1]
-        )
-        if min_gap(family, q) < STEP_GAP_TOL * scale:
-            raise StepsTooLargeError(
-                f"ladder step h={h:g} from {p} along {direction} crosses an EP "
-                f"near {q}"
-            )
+def susceptibility(family, band, p, direction):
+    """Directional fidelity susceptibility by the biorthogonal sum over states.
 
+    With one eigensystem H R_m = E_m R_m, <L_m|R_k> = delta_mk, and dH the
+    derivative of H along the unit `direction`,
 
-def susceptibility(family, band, p, direction, h=DEFAULT_STEP_H):
-    """Directional fidelity susceptibility by Richardson extrapolation.
+        chi_n = sum over m != n of <L_n|dH|R_m><L_m|dH|R_n> / (E_n - E_m)^2
 
-    Evaluates g(dq) = (1 - F)/dq^2 on the ladder dq in {h, h/2, h/4, h/8}
-    and removes the leading O(dq) correction; the error estimate is the
-    difference of the last two extrapolants.
+    (Brody, J. Phys. A 47, 035305, 2014), the quadratic coefficient of
+    1 - F(p, p + dq n).  `error_estimate` is the conditioning bound
+    16 eps |H| kappa^2 / g M: kappa is the largest left norm ||L_k||
+    (rights are unit vectors), g the smallest gap |E_n - E_m|, and M the
+    sum of the magnitudes of the terms.  Raises
+    NormalizationBreakdownError when `band` sits on an EP.
     """
     p = as_point(p)
     direction = unit(direction)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"bad ladder step {h}")
-    # Decompose the reference point first: an exact EP must surface as a
-    # normalization breakdown, not as a too-large ladder step.
-    ref_sys = eigendecompose(family.matrix(p))
-    _check_band_flag(ref_sys, band_index(band, ref_sys.dim), p)
-    _check_ladder(family, p, direction, h)
-
-    steps = tuple(h / 2 ** k for k in range(LADDER_HALVINGS))
-    g = []
-    for dq in steps:
-        f = fidelity(family, band, p, Displacement(direction, dq))
-        g.append((1.0 - f.value) / dq ** 2)
-    extrap = [2 * g[k + 1] - g[k] for k in range(len(g) - 1)]
+    h = family.matrix(p)
+    system = eigendecompose(h)
+    n = band_index(band, system.dim)
+    _check_band_flag(system, n, p)
+    d1, d2 = family.gradient(p)
+    a = system.lefts @ (direction[0] * d1 + direction[1] * d2) @ system.rights
+    gaps = system.energies[n] - system.energies
+    others = [m for m in range(system.dim) if m != n]
+    terms = [a[n, m] * a[m, n] / gaps[m] ** 2 for m in others]
+    kappa = float(np.max(np.linalg.norm(system.lefts, axis=1)))
+    gap = min(abs(gaps[m]) for m in others)
+    bound = SOS_ERROR_FACTOR * matrix_scale(h) * kappa ** 2 / gap
     return SusceptibilityResult(
-        value=extrap[-1],
-        error_estimate=abs(extrap[-1] - extrap[-2]),
-        steps_used=steps,
+        value=complex(sum(terms)),
+        error_estimate=bound * sum(abs(t) for t in terms),
         band=band,
         point=p,
         direction=direction,
@@ -249,27 +231,18 @@ class ScanCell:
 CELL_STATUS = {
     NormalizationBreakdownError: STATUS_EP_BREAKDOWN,
     BandAmbiguityError: STATUS_BAND_AMBIGUOUS,
-    StepsTooLargeError: STATUS_STEP_TOO_LARGE,
 }
 
 
-def _chi_cell(args):
-    family, coords, point, band, direction, h = args
+def _chi_cell(family, coords, point, band, direction):
     try:
-        res = susceptibility(family, band, point, direction, h=h)
+        res = susceptibility(family, band, point, direction)
         return ScanCell(coords, band, STATUS_OK, res.value, res.error_estimate)
     except tuple(CELL_STATUS) as err:
         return ScanCell(coords, band, CELL_STATUS[type(err)], None, None)
 
 
-def _run_cells(tasks, workers):
-    if workers <= 1:
-        return [_chi_cell(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_chi_cell, tasks, chunksize=8))
-
-
-def grid_scan(family, box, resolution, band, direction, h=DEFAULT_STEP_H, workers=1):
+def grid_scan(family, box, resolution, band, direction):
     """Susceptibility over a rectangular grid, row-major with q1 fastest.
 
     `box` is (q1min, q1max, q2min, q2max); cells on the singular set are
@@ -282,48 +255,45 @@ def grid_scan(family, box, resolution, band, direction, h=DEFAULT_STEP_H, worker
     q1s = np.linspace(q1min, q1max, nx)
     q2s = np.linspace(q2min, q2max, ny)
     direction = unit(direction)
-    tasks = [
-        (family, (q1s[ix], q2s[iy]), ParameterPoint(q1s[ix], q2s[iy]), band, direction, h)
-        for iy in range(ny)
-        for ix in range(nx)
+    return [
+        _chi_cell(family, (q1, q2), ParameterPoint(q1, q2), band, direction)
+        for q2 in q2s
+        for q1 in q1s
     ]
-    return _run_cells(tasks, workers)
 
 
-def line_scan(family, q1, q2_values, band, direction, h=DEFAULT_STEP_H, workers=1):
+def line_scan(family, q1, q2_values, band, direction):
     """Susceptibility at (q1, q2) for each q2 in `q2_values`, in order."""
     direction = unit(direction)
-    tasks = [
-        (family, (q1, q2), ParameterPoint(q1, q2), band, direction, h) for q2 in q2_values
+    return [
+        _chi_cell(family, (q1, q2), ParameterPoint(q1, q2), band, direction)
+        for q2 in q2_values
     ]
-    return _run_cells(tasks, workers)
 
 
-def polar_sweep(family, center, radii, angles, band, h=DEFAULT_STEP_H, workers=1):
+def polar_sweep(family, center, radii, angles, band):
     """Radial susceptibility on circles around `center`.
 
     The displacement direction at polar angle phi is the inward radial
     direction -(cos phi, sin phi), i.e. the fidelity between the states at
-    r and r - dq.  All radii must exceed the largest ladder step.
+    r and r - dq.  All radii must be positive.
     """
     center = as_point(center)
     radii = [float(r) for r in radii]
     angles = [float(a) for a in angles]
     if not radii or not angles:
         raise ValueError("radii and angles must be nonempty")
-    if min(radii) <= h:
-        raise ValueError(
-            f"all radii must exceed the ladder step h={h:g}; got min {min(radii):g}"
-        )
-    tasks = []
+    if not all(r > 0 for r in radii):
+        raise ValueError(f"all radii must be positive; got {radii}")
+    cells = []
     for r in radii:
         for phi in angles:
             point = ParameterPoint(
                 center.q1 + r * math.cos(phi), center.q2 + r * math.sin(phi)
             )
             direction = unit((-math.cos(phi), -math.sin(phi)))
-            tasks.append((family, (r, phi), point, band, direction, h))
-    return _run_cells(tasks, workers)
+            cells.append(_chi_cell(family, (r, phi), point, band, direction))
+    return cells
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):

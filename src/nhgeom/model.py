@@ -89,16 +89,6 @@ def nv_hamiltonian(p):
     )
 
 
-def nv_hamiltonian_from_operators(p):
-    """Same H(q1, q2) assembled directly from the spin-1 operators.
-
-    Kept as an independent construction to cross-check the closed form.
-    """
-    q1, q2 = as_point(p)
-    s = build_spin1()
-    return 3 * (s.sz @ s.sz) + 2 * q1 * s.sz + SQRT2 * (s.sx - 1j * q2 * s.sy)
-
-
 # dH/dq1 = 2 Sz, dH/dq2 = -i sqrt(2) Sy; both constant in (q1, q2).
 _NV_DQ1 = np.diag([2.0, 0.0, -2.0]).astype(complex)
 _NV_DQ2 = np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex)

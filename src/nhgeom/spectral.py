@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EPNotFoundError, LostTrackError
+from .errors import EPNotFoundError, LostTrackError, NhgeomError
 from .linalg import matrix_scale
 from .model import ParameterPoint, as_point
 
@@ -249,7 +249,7 @@ def find_ep_on_segment(family, a, b, coarse=201, classify=True):
 
         try:
             kind = classify_ep(family, ep)
-        except Exception:
+        except NhgeomError:
             kind = EPKind.UNCLASSIFIED
         ep = replace(ep, kind=kind)
     return ep

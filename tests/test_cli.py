@@ -161,11 +161,13 @@ class TestPolar:
         assert most_negative[0] == pytest.approx(math.pi / 2)
         assert most_negative[1] == pytest.approx(3 * math.pi / 2)
 
-    def test_radius_below_step_exits_2(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "polar", "--radii", "0.0005", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert result.exit_code == 2
+    def test_nonpositive_radius_exits_2(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        for radii in ("0.1,0", "-0.1", "nan"):
+            result = runner.invoke(main, ["polar", "--radii", radii, "--out", str(out)])
+            assert result.exit_code == 2
+            assert "all radii must be positive" in result.output
+            assert not out.exists()
 
 
 class TestEpLocate:
@@ -256,7 +258,7 @@ class TestConfigAndManifest:
         out1 = tmp_path / "a.csv"
         run_ok(runner, [
             "chi-scan", "--box", "-0.3,0.3,0.5,0.9", "--resolution", "3,2",
-            "--direction", "1,0", "--step-h", "0.002", "--out", str(out1),
+            "--direction", "1,0", "--band", "1", "--out", str(out1),
         ])
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         cfg = tmp_path / "replay.cfg"
@@ -298,6 +300,23 @@ class TestConfigAndManifest:
         assert manifest["config"]["out"] == str(out)
         assert "config" not in manifest["config"]
 
+    @pytest.mark.parametrize("line", ["resolutoin = 3,3", "step-h = 0.001"])
+    def test_unknown_config_key_exits_2(self, runner, tmp_path, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"box = 0,0.4,0.4,0.6\n{line}\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["chi-scan", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"key {line.split()[0].replace('-', '_')!r} names no option" in result.output
+        assert not out.exists()
+
+    def test_config_key_may_be_option_name(self, runner, tmp_path):
+        cfg = tmp_path / "fmt.cfg"
+        cfg.write_text("format = json\nresolution = 2,2\n")
+        out = tmp_path / "spec.json"
+        run_ok(runner, ["spectrum-scan", "--config", str(cfg), "--out", str(out)])
+        assert len(json.loads(out.read_text())) == 2 * 2 * 3
+
     def test_unreadable_config_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "chi-scan", "--config", str(tmp_path / "missing.cfg"),
@@ -316,6 +335,9 @@ class TestConfigAndManifest:
 # Valid arguments for each command, so that only the flag under test can fail.
 BASE_ARGS = {
     "spectrum-scan": ["--resolution", "2,2"],
+    "chi-scan": ["--resolution", "2,2"],
+    "line-cut": ["--n-points", "2"],
+    "polar": ["--radii", "0.1", "--n-angles", "2"],
     "straddle": ["--n-points", "2"],
     "ep-locate": ["--segment", "0,0.5,0,1.3"],
     "trace-line": ["--segment", "0,1.2,0,1.7", "--max-points", "2"],
@@ -328,10 +350,12 @@ IGNORED_FLAGS = [
     ("trace-line", "--band"),
     ("jordan", "--band"),
 ] + [
-    (command, flag)
+    (command, "--workers")
     for command in ("spectrum-scan", "straddle", "ep-locate", "trace-line", "jordan")
-    for flag in ("--workers", "--step-h")
-] + [("jordan", "--format")]
+] + [("jordan", "--format")] + [
+    # The finite-difference step is gone from every command.
+    (command, "--step-h") for command in BASE_ARGS
+]
 
 
 @pytest.mark.parametrize("command,flag", IGNORED_FLAGS)

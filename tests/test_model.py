@@ -1,8 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from nhgeom import NonFiniteError, build_spin1, get_family, nv_gradient, nv_hamiltonian
-from nhgeom.model import nv_hamiltonian_from_operators
+
+
+def nv_hamiltonian_from_operators(p):
+    """H(q1, q2) assembled directly from the spin-1 operators.
+
+    An independent construction to cross-check the closed form.
+    """
+    q1, q2 = p
+    s = build_spin1()
+    return 3 * (s.sz @ s.sz) + 2 * q1 * s.sz + math.sqrt(2.0) * (s.sx - 1j * q2 * s.sy)
 
 
 class TestSpinOperators:

@@ -7,6 +7,7 @@ from nhgeom import (
     EPKind,
     EPNotFoundError,
     LostTrackError,
+    NotDefectiveError,
     Phase,
     classify_phase,
     discriminant,
@@ -85,6 +86,22 @@ class TestFindEP:
             hi = rng.uniform(1.05, 1.35)
             ep = find_ep_on_segment(family, (0.0, lo), (0.0, hi), classify=False)
             assert abs(ep.point.q2 - 1.0) <= 1e-7
+
+    def test_classifier_failure_leaves_unclassified(self, family, monkeypatch):
+        def not_defective(family, ep):
+            raise NotDefectiveError("diagonalizable")
+
+        monkeypatch.setattr("nhgeom.jordan.classify_ep", not_defective)
+        ep = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
+        assert ep.kind is EPKind.UNCLASSIFIED
+
+    def test_classifier_bug_propagates(self, family, monkeypatch):
+        def broken(family, ep):
+            raise TypeError("a programming error, not a numerical verdict")
+
+        monkeypatch.setattr("nhgeom.jordan.classify_ep", broken)
+        with pytest.raises(TypeError):
+            find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
 
 
 class TestGridEquivalence:
