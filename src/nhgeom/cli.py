@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__
 from .errors import NhgeomError
 from .geometry import grid_scan, line_scan, polar_sweep, straddle_fidelity
-from .linalg import matrix_scale
+from .linalg import band_order, matrix_scale
 from .model import ParameterPoint, get_family
 from .jordan import classify_ep, jordan_chain, sqrt_coefficient
 from .spectral import (
+    EPKind,
     closest_pair,
     ep_at,
     find_ep_on_segment,
@@ -235,8 +236,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
             h = family.matrix((q1, q2))
             w = np.linalg.eigvals(h)
             label = phase_of(w, matrix_scale(h)).label.value
-            order = sorted(range(len(w)), key=lambda i: (-w[i].real, -w[i].imag))
-            for slot, i in enumerate(order):
+            for slot, i in enumerate(band_order(w)):
                 rows.append(
                     [fnum(q1), fnum(q2), 1 - slot, fnum(w[i].real), fnum(w[i].imag), label]
                 )
@@ -330,11 +330,15 @@ def cmd_ep_locate(family, out, fmt, segment):
     """Locate and classify an exceptional point on a parameter segment."""
     a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
     ep = find_ep_on_segment(family, (a1, a2), (b1, b2))
+    try:
+        kind = classify_ep(family, ep)
+    except NhgeomError:
+        kind = EPKind.UNCLASSIFIED
     if fmt == "json":
         return write_record(out, {
             "point": [ep.point.q1, ep.point.q2],
             "energy": [ep.coalesced_energy.real, ep.coalesced_energy.imag],
-            "kind": ep.kind.value,
+            "kind": kind.value,
             "defect_measure": ep.defect_measure,
         })
     row = [
@@ -342,7 +346,7 @@ def cmd_ep_locate(family, out, fmt, segment):
         fnum(ep.point.q2),
         fnum(ep.coalesced_energy.real),
         fnum(ep.coalesced_energy.imag),
-        ep.kind.value,
+        kind.value,
         fnum(ep.defect_measure),
     ]
     return write_rows(
@@ -361,7 +365,7 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
     a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
     boxv = parse_floats(box, 4, "--box")
-    seed = find_ep_on_segment(family, (a1, a2), (b1, b2), classify=False)
+    seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
     rows = [
         [

@@ -64,7 +64,6 @@ class FidelityResult:
     value: complex
     band: int
     endpoints: tuple
-    matched_by: dict
     phase_labels: tuple
 
 
@@ -119,7 +118,7 @@ def _match_displaced_band(ref_sys, idx, disp_sys):
             f"overlaps {ov[top]:.6e} / {ov[second]:.6e}",
             candidates=(top, second),
         )
-    return top, ov, second
+    return top
 
 
 def fidelity_from_systems(ref_sys, disp_sys, idx, disp_idx):
@@ -152,14 +151,13 @@ def fidelity(family, band, p, d):
             value=1.0 + 0.0j,
             band=band,
             endpoints=(p, p2),
-            matched_by={"reference_index": idx, "displaced_index": idx},
             phase_labels=(label1, label1),
         )
 
     h2 = family.matrix(p2)
     sys2 = eigendecompose(h2)
     label2 = phase_of(sys2.energies, matrix_scale(h2))
-    disp_idx, overlaps, runner_up = _match_displaced_band(sys1, idx, sys2)
+    disp_idx = _match_displaced_band(sys1, idx, sys2)
     _check_band_flag(sys2, disp_idx, p2)
 
     value = fidelity_from_systems(sys1, sys2, idx, disp_idx)
@@ -167,13 +165,6 @@ def fidelity(family, band, p, d):
         value=value,
         band=band,
         endpoints=(p, p2),
-        matched_by={
-            "reference_index": idx,
-            "displaced_index": disp_idx,
-            "overlap": float(overlaps[disp_idx]),
-            "runner_up_index": runner_up,
-            "runner_up_overlap": float(overlaps[runner_up]),
-        },
         phase_labels=(label1, label2),
     )
 

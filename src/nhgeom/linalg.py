@@ -46,19 +46,14 @@ def as_complex_matrix(a):
     return m
 
 
-def as_complex_vector(v, dim=None):
-    """Validate and return `v` as a finite complex vector."""
-    x = np.asarray(v, dtype=complex).ravel()
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionMismatchError(f"expected length {dim}, got {x.shape[0]}")
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
-        raise NonFiniteError("vector contains NaN or Inf")
-    return x
-
-
 def matrix_scale(h):
     """Frobenius norm of `h`, floored at 1 for tolerance scaling."""
     return max(np.linalg.norm(h), 1.0)
+
+
+def band_order(w):
+    """Indices of the eigenvalues `w` by (Re descending, Im descending)."""
+    return sorted(range(len(w)), key=lambda i: (-w[i].real, -w[i].imag))
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ def eigendecompose(h):
     scale = matrix_scale(h)
 
     w, vl, vr = sla.eig(h, left=True, right=True)
-    order = sorted(range(n), key=lambda i: (-w[i].real, -w[i].imag))
+    order = band_order(w)
     w = w[order]
     vr = vr[:, order]
     lefts = vl[:, order].conj().T  # row n is the left covector of band n
@@ -145,7 +140,11 @@ def solve_linear(a, b, rank_tol=1e-12):
     and the achieved residual reported instead of raising.
     """
     a = as_complex_matrix(a)
-    b = as_complex_vector(b, dim=a.shape[0])
+    b = np.asarray(b, dtype=complex).ravel()
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatchError(f"expected length {a.shape[0]}, got {b.shape[0]}")
+    if not (np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))):
+        raise NonFiniteError("vector contains NaN or Inf")
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=rank_tol)
     resid = np.linalg.norm(a @ x - b)
     return x, resid

@@ -16,6 +16,7 @@ from nhgeom import (
     EPKind,
     NormalizationBreakdownError,
     Phase,
+    classify_ep,
     classify_phase,
     eigendecompose,
     fidelity,
@@ -57,6 +58,7 @@ def test_criterion_2_ep_location(family):
     # conventional EP at (0, sqrt(17/8)) +/- 1e-6, energy 1.5 +/- 1e-6
     dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
     conv = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
+    dirac_kind, conv_kind = classify_ep(family, dirac), classify_ep(family, conv)
     errs = (
         abs(dirac.point.q1), abs(dirac.point.q2 - 1.0),
         abs(dirac.coalesced_energy - 3.0),
@@ -64,14 +66,14 @@ def test_criterion_2_ep_location(family):
     )
     ok = (
         errs[0] <= 1e-7 and errs[1] <= 1e-7 and errs[2] <= 1e-8
-        and dirac.kind is EPKind.DIRAC
+        and dirac_kind is EPKind.DIRAC
         and errs[3] <= 1e-6 and errs[4] <= 1e-6
-        and conv.kind is EPKind.CONVENTIONAL
+        and conv_kind is EPKind.CONVENTIONAL
     )
     report(
         "2 EP location/energy/kind", ok,
-        f"Dirac dq={errs[1]:.2e} dE={errs[2]:.2e} kind={dirac.kind.value}; "
-        f"conventional dq={errs[3]:.2e} dE={errs[4]:.2e} kind={conv.kind.value}",
+        f"Dirac dq={errs[1]:.2e} dE={errs[2]:.2e} kind={dirac_kind.value}; "
+        f"conventional dq={errs[3]:.2e} dE={errs[4]:.2e} kind={conv_kind.value}",
     )
 
 
@@ -185,8 +187,8 @@ def test_criterion_5_anisotropy(family):
 def test_criterion_6_dispersion_classification(family):
     # normalized sqrt(r) amplitude <= 1e-6 in all 8 directions at (0, 1);
     # >= 1e-2 along q2 at the conventional EP
-    dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3), classify=False)
-    conv = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7), classify=False)
+    dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
+    conv = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
     dirac_amps = [
         sqrt_coefficient(family, dirac, 2 * math.pi * k / 8).normalized_sqrt_amplitude
         for k in range(8)

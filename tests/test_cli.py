@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nhgeom import NotDefectiveError
 from nhgeom.cli import main
 
 Q2_STAR = math.sqrt(17.0 / 8.0)
@@ -198,6 +199,26 @@ class TestEpLocate:
             "ep-locate", "--segment", "0,0.1,0,0.5", "--out", str(tmp_path / "x.csv"),
         ])
         assert result.exit_code == 3
+
+    def test_classifier_failure_leaves_unclassified(self, runner, tmp_path, monkeypatch):
+        def not_defective(family, ep):
+            raise NotDefectiveError("diagonalizable")
+
+        monkeypatch.setattr("nhgeom.cli.classify_ep", not_defective)
+        out = tmp_path / "dirac.csv"
+        run_ok(runner, ["ep-locate", "--segment", "0,0.5,0,1.3", "--out", str(out)])
+        _, rows = read_csv(out)
+        assert rows[0][4] == "Unclassified"
+
+    def test_classifier_bug_propagates(self, runner, tmp_path, monkeypatch):
+        def broken(family, ep):
+            raise TypeError("a programming error, not a numerical verdict")
+
+        monkeypatch.setattr("nhgeom.cli.classify_ep", broken)
+        with pytest.raises(TypeError):
+            runner.invoke(main, [
+                "ep-locate", "--segment", "0,0.5,0,1.3", "--out", str(tmp_path / "x.csv"),
+            ], catch_exceptions=False)
 
 
 class TestTraceLine:

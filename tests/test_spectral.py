@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,9 @@ from hypothesis import strategies as st
 from nhgeom import (
     EPKind,
     EPNotFoundError,
-    LostTrackError,
-    NotDefectiveError,
+    HamiltonianFamily,
     Phase,
+    classify_ep,
     classify_phase,
     discriminant,
     find_ep_on_segment,
@@ -63,13 +66,14 @@ class TestFindEP:
         assert abs(ep.point.q1) <= 1e-8
         assert abs(ep.point.q2 - 1.0) <= 1e-7
         assert abs(ep.coalesced_energy - 3.0) <= 1e-8
-        assert ep.kind is EPKind.DIRAC
+        assert ep.kind is EPKind.UNCLASSIFIED
+        assert classify_ep(family, ep) is EPKind.DIRAC
 
     def test_conventional_ep(self, family):
         ep = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
         assert abs(ep.point.q2 - Q2_STAR) <= 1e-8
         assert abs(ep.coalesced_energy - 1.5) <= 1e-6
-        assert ep.kind is EPKind.CONVENTIONAL
+        assert classify_ep(family, ep) is EPKind.CONVENTIONAL
 
     def test_not_found(self, family):
         with pytest.raises(EPNotFoundError):
@@ -84,24 +88,113 @@ class TestFindEP:
         for _ in range(20):
             lo = rng.uniform(0.55, 0.95)
             hi = rng.uniform(1.05, 1.35)
-            ep = find_ep_on_segment(family, (0.0, lo), (0.0, hi), classify=False)
+            ep = find_ep_on_segment(family, (0.0, lo), (0.0, hi))
             assert abs(ep.point.q2 - 1.0) <= 1e-7
 
-    def test_classifier_failure_leaves_unclassified(self, family, monkeypatch):
-        def not_defective(family, ep):
-            raise NotDefectiveError("diagonalizable")
+    @pytest.mark.parametrize("a, b, want", [
+        ((0.0, 1.0), (0.0, 1.3), (0.0, 1.0)),
+        ((0.0, 0.5), (0.0, 1.0), (0.0, 1.0)),
+        ((0.2, 0.8), (0.0, 1.0), (0.0, 1.0)),
+        ((0.0, Q2_STAR), (0.0, 1.7), (0.0, Q2_STAR)),
+        ((0.0, 1.2), (0.0, Q2_STAR), (0.0, Q2_STAR)),
+    ])
+    def test_segment_ending_on_an_ep(self, family, a, b, want):
+        ep = find_ep_on_segment(family, a, b)
+        assert math.hypot(ep.point.q1 - want[0], ep.point.q2 - want[1]) <= 1e-12
 
-        monkeypatch.setattr("nhgeom.jordan.classify_ep", not_defective)
-        ep = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
-        assert ep.kind is EPKind.UNCLASSIFIED
+    def test_non_3x3_family_raises(self):
+        dimer = HamiltonianFamily(
+            name="pt-dimer",
+            dimension=2,
+            builder=lambda p: np.array([[1j * p.q2, p.q1], [p.q1, -1j * p.q2]]),
+            gradient=lambda p: (np.array([[0, 1], [1, 0]]), np.diag([1j, -1j])),
+        )
+        with pytest.raises(ValueError):
+            find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
 
-    def test_classifier_bug_propagates(self, family, monkeypatch):
-        def broken(family, ep):
-            raise TypeError("a programming error, not a numerical verdict")
 
-        monkeypatch.setattr("nhgeom.jordan.classify_ep", broken)
-        with pytest.raises(TypeError):
-            find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
+# 50-digit references built from the closed-form characteristic polynomial
+# x^3 + b x^2 + c x + d of the NV family, without nhgeom.
+def reference_discriminant(q1, q2):
+    b = -6
+    c = 7 - 4 * q1 ** 2 + 2 * q2 ** 2
+    d = 6 * (1 - q2 ** 2)
+    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+
+
+def reference_line_q2(q1):
+    """q2 of the exceptional line at q1, |q1| <= 0.9, to 50 digits.
+
+    The discriminant is positive (PT unbroken) at q2 = 1.05 and negative
+    (broken) at q2 = 2 for these q1; bisection finds its sign change.
+    """
+    with mpmath.workdps(50):
+        q1 = mpmath.mpf(q1)
+        lo, hi = mpmath.mpf("1.05"), mpmath.mpf(2)
+        assert reference_discriminant(q1, lo) > 0 > reference_discriminant(q1, hi)
+        while hi - lo > mpmath.mpf(10) ** -45:
+            mid = (lo + hi) / 2
+            if reference_discriminant(q1, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def segment_through(center, angle, before, after):
+    u = (math.cos(angle), math.sin(angle))
+    return (
+        (center[0] - before * u[0], center[1] - before * u[1]),
+        (center[0] + after * u[0], center[1] + after * u[1]),
+    )
+
+
+def off_dirac(angle, offset):
+    """The point `offset` from (0, 1), normal to the direction `angle`."""
+    return (-offset * math.sin(angle), 1.0 + offset * math.cos(angle))
+
+
+ends = st.floats(0.15, 0.3)
+angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
+# Seed 381's segment of the ep-hunt benchmark, which passes through (0, 1),
+# and its 4-digit rounding, which misses (0, 1) by 1.35e-5.
+SEED_381 = ((0.227198873516837, 0.8566095303857024), (-0.16831266910038617, 1.106226022562351))
+SEED_381_ROUNDED = ((0.2272, 0.8566), (-0.1683, 1.1062))
+
+
+class TestLocatorReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-0.9, 0.9), st.floats(0.1, 0.25), st.floats(0.1, 0.25))
+    def test_exceptional_line_crossing(self, family, q1, below, above):
+        q2 = reference_line_q2(q1)
+        ep = find_ep_on_segment(
+            family, (q1, float(q2) - below), (q1, float(q2) + above)
+        )
+        assert abs(ep.point.q1 - q1) <= 1e-12
+        assert abs(ep.point.q2 - q2) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(angles, ends, ends)
+    def test_segments_through_the_dirac_point(self, family, angle, before, after):
+        ep = find_ep_on_segment(family, *segment_through((0.0, 1.0), angle, before, after))
+        assert math.hypot(ep.point.q1, ep.point.q2 - 1.0) <= 1e-7
+        assert classify_ep(family, ep) is EPKind.DIRAC
+
+    @settings(max_examples=50, deadline=None)
+    @given(angles, ends, ends, st.sampled_from([1e-5, -1e-5, 1e-6, -1e-6]))
+    def test_near_misses_are_not_eps(self, family, angle, before, after, offset):
+        a, b = segment_through(off_dirac(angle, offset), angle, before, after)
+        with pytest.raises(EPNotFoundError):
+            find_ep_on_segment(family, a, b)
+
+    def test_rounded_seed_381_segment_is_a_near_miss(self, family):
+        with pytest.raises(EPNotFoundError):
+            find_ep_on_segment(family, *SEED_381_ROUNDED)
+
+    def test_seed_381_segment_finds_the_dirac_ep(self, family):
+        ep = find_ep_on_segment(family, *SEED_381)
+        assert math.hypot(ep.point.q1, ep.point.q2 - 1.0) <= 1e-7
+        assert classify_ep(family, ep) is EPKind.DIRAC
 
 
 class TestGridEquivalence:
@@ -226,7 +319,7 @@ class TestClosestPair:
         gap, i, j = closest_pair(w)
         assert bits(gap) == bits(reference_min_gap(w))
         assert (i, j) == reference_jordan_pair(w)
-        energy = complex((w[i] + w[j]) / 2)
+        energy = complex(w[[i, j]].mean())
         nn_pair, nn_energy = reference_nearest_neighbours(w)
         if bits(abs(w[nn_pair[0]] - w[nn_pair[1]])) == bits(gap):
             assert nn_pair == [i, j]
