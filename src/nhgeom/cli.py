@@ -1,7 +1,9 @@
 """Command-line driver: parameter-space scans with reproducible outputs.
 
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
-recording the fully resolved configuration, tool version, and wall time.
+recording the fully resolved configuration, tool, python, numpy and click
+versions, wall time and row count (and, for chi sweeps, the number of
+cells of each status).
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -12,8 +14,10 @@ import functools
 import io
 import json
 import math
+import platform
 import sys
 import time
+from collections import Counter
 
 import click
 import numpy as np
@@ -102,7 +106,7 @@ def use_config(ctx, param, path):
 
 
 def write_rows(out, fmt, header, rows):
-    """Write a data table and return its row count.
+    """Write a data table and return its manifest fields: the row count.
 
     None fields become empty CSV cells / JSON null.
     """
@@ -118,25 +122,39 @@ def write_rows(out, fmt, header, rows):
         data = json.dumps(records, indent=1) + "\n"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
-    return len(rows)
+    return {"rows": len(rows)}
 
 
 def write_record(out, record):
-    """Write one JSON object and return its row count, 1."""
+    """Write one JSON object and return its manifest fields: 1 row."""
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    return 1
+    return {"rows": 1}
 
 
-def write_manifest(out, subcommand, config, started, n_rows):
+@functools.lru_cache(maxsize=None)
+def versions():
+    """Versions of python and of the packages a run depends on."""
+    from importlib.metadata import version
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "click": version("click"),
+    }
+
+
+def write_manifest(out, subcommand, config, started, fields):
+    """Write ``<out>.manifest.json``: the run's config, versions and `fields`."""
     manifest = {
         "tool": "nhgeom",
         "version": __version__,
+        "versions": versions(),
         "subcommand": subcommand,
         "config": config,
         "wall_time_s": time.monotonic() - started,
-        "rows": n_rows,
+        **fields,
     }
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -144,7 +162,10 @@ def write_manifest(out, subcommand, config, started, n_rows):
 
 
 def write_chi(out, fmt, coord_names, cells):
-    """Write chi sweep cells; a non-ok cell has no value fields."""
+    """Write chi sweep cells; a non-ok cell has no value fields.
+
+    The manifest fields gain `status`, the number of cells of each status.
+    """
     rows = []
     for c in cells:
         row = [fnum(c.coords[0]), fnum(c.coords[1]), c.band]
@@ -154,7 +175,9 @@ def write_chi(out, fmt, coord_names, cells):
             row += [None, None, None]
         rows.append(row + [c.status])
     header = list(coord_names) + ["band", "re_chi", "im_chi", "error_estimate", "status"]
-    return write_rows(out, fmt, header, rows)
+    fields = write_rows(out, fmt, header, rows)
+    fields["status"] = dict(Counter(c.status for c in cells))
+    return fields
 
 
 MODEL = click.option("--model", default="nv-dirac", show_default=True)
@@ -193,9 +216,10 @@ def command(name, *options):
     """Register ``nhgeom <name>`` with --model, --out, --config and `options`.
 
     The decorated body is called as body(family, out, **other_options); it
-    writes the data file and returns its row count.  This wrapper writes
-    the manifest, and turns a computation error (NhgeomError, ValueError)
-    into exit code 3, with no data file written.
+    writes the data file and returns its manifest fields (the row count,
+    and more where a writer adds them).  This wrapper writes the manifest,
+    and turns a computation error (NhgeomError, ValueError) into exit
+    code 3, with no data file written.
     """
 
     def register(body):
@@ -204,13 +228,13 @@ def command(name, *options):
             started = time.monotonic()
             family = _family_or_usage(model)
             try:
-                n_rows = body(family, out, **params)
+                fields = body(family, out, **params)
             except (NhgeomError, ValueError) as err:
                 click.echo(f"computation failed: {err}", err=True)
                 sys.exit(3)
             config = {"model": model, "out": out, **params}
             config = {k: str(v) for k, v in config.items() if v is not None}
-            write_manifest(out, name, config, started, n_rows)
+            write_manifest(out, name, config, started, fields)
 
         for option in reversed((MODEL, OUT, *options, CONFIG)):
             run = option(run)
@@ -230,16 +254,22 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     nx, ny = parse_ints(resolution, 2, "--resolution")
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
-    rows = []
-    for q2 in np.linspace(q2min, q2max, ny):
-        for q1 in np.linspace(q1min, q1max, nx):
-            h = family.matrix((q1, q2))
-            w = np.linalg.eigvals(h)
-            label = phase_of(w, matrix_scale(h)).label.value
-            for slot, i in enumerate(band_order(w)):
-                rows.append(
-                    [fnum(q1), fnum(q2), 1 - slot, fnum(w[i].real), fnum(w[i].imag), label]
-                )
+    q2s, q1s = np.meshgrid(
+        np.linspace(q2min, q2max, ny), np.linspace(q1min, q1max, nx), indexing="ij"
+    )
+    q1s, q2s = q1s.ravel().tolist(), q2s.ravel().tolist()
+    h = np.array([family.matrix(p) for p in zip(q1s, q2s)])
+    w = np.linalg.eigvals(h)
+    labels = [label.value for label in phase_of(w, matrix_scale(h)).label]
+    w = np.take_along_axis(w, band_order(w), axis=-1)
+    bands = [1 - slot for slot in range(w.shape[-1])]
+    rows = [
+        [q1, q2, band, repr(re), repr(im), label]
+        for q1, q2, res, ims, label in zip(
+            map(repr, q1s), map(repr, q2s), w.real.tolist(), w.imag.tolist(), labels
+        )
+        for band, re, im in zip(bands, res, ims)
+    ]
     return write_rows(out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], rows)
 
 

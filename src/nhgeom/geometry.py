@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BandAmbiguityError, NormalizationBreakdownError
-from .linalg import eigendecompose, matrix_scale
+from .linalg import eigendecompose, matrix_scale, norm
 from .model import ParameterPoint, as_point
 from .spectral import phase_of
 
@@ -175,36 +175,69 @@ def susceptibility(family, band, p, direction):
     With one eigensystem H R_m = E_m R_m, <L_m|R_k> = delta_mk, and dH the
     derivative of H along the unit `direction`,
 
-        chi_n = sum over m != n of <L_n|dH|R_m><L_m|dH|R_n> / (E_n - E_m)^2
+        chi_n = sum over m != n of a_nm a_mn / (E_n - E_m)^2,
+        a = <L|dH|R>
 
     (Brody, J. Phys. A 47, 035305, 2014), the quadratic coefficient of
     1 - F(p, p + dq n).  `error_estimate` is the conditioning bound
-    16 eps |H| kappa^2 / g M: kappa is the largest left norm ||L_k||
-    (rights are unit vectors), g the smallest gap |E_n - E_m|, and M the
-    sum of the magnitudes of the terms.  Raises
-    NormalizationBreakdownError when `band` sits on an EP.
+
+        B * sum over m != n of (|a_nm a_mn| + ||dH|| (|a_nm| + |a_mn|))
+                               / |E_n - E_m|^2,
+        B = 16 eps |H| kappa^2 / g,
+
+    with kappa the largest left norm ||L_k|| (rights are unit vectors), g
+    the smallest gap |E_n - E_m| and ||dH|| the Frobenius norm: the
+    rounding of the products and of each matrix element a_nm, propagated
+    through the sum.  This is the one-point case of the sweeps' batched
+    kernel, bit for bit.  Raises NormalizationBreakdownError when `band`
+    sits on an EP.
     """
     p = as_point(p)
     direction = unit(direction)
-    h = family.matrix(p)
+    (value, error), = _sum_over_states(family, band, [p], [direction])
+    if value is None:
+        raise NormalizationBreakdownError(
+            f"band {band} at {p} is within tolerance of an EP"
+        )
+    return SusceptibilityResult(
+        value=value, error_estimate=error, band=band, point=p, direction=direction
+    )
+
+
+def _sum_over_states(family, band, points, directions):
+    """[(chi, error_estimate)] of `band` at each point along its unit direction.
+
+    One stacked eigendecomposition serves every point.  A point where
+    normalization breaks down, or where `band` is flagged, gives
+    (None, None); the others follow `susceptibility`.
+    """
+    if not points:
+        return []
+    h = np.array([family.matrix(p) for p in points])
+    grads = [family.gradient(p) for p in points]
+    n1, n2 = (np.array(c)[:, None, None] for c in zip(*directions))
+    dh = n1 * np.array([g[0] for g in grads]) + n2 * np.array([g[1] for g in grads])
     system = eigendecompose(h)
     n = band_index(band, system.dim)
-    _check_band_flag(system, n, p)
-    d1, d2 = family.gradient(p)
-    a = system.lefts @ (direction[0] * d1 + direction[1] * d2) @ system.rights
-    gaps = system.energies[n] - system.energies
+    ok = np.flatnonzero(~(system.breakdown | system.condition_flags[:, n]))
+    w, lefts, dh = system.energies[ok], system.lefts[ok], dh[ok]
+    a = lefts @ dh @ system.rights[ok]
     others = [m for m in range(system.dim) if m != n]
-    terms = [a[n, m] * a[m, n] / gaps[m] ** 2 for m in others]
-    kappa = float(np.max(np.linalg.norm(system.lefts, axis=1)))
-    gap = min(abs(gaps[m]) for m in others)
-    bound = SOS_ERROR_FACTOR * matrix_scale(h) * kappa ** 2 / gap
-    return SusceptibilityResult(
-        value=complex(sum(terms)),
-        error_estimate=bound * sum(abs(t) for t in terms),
-        band=band,
-        point=p,
-        direction=direction,
-    )
+    row, col = a[:, n, others], a[:, others, n]
+    gaps = w[:, n, None] - w[:, others]
+    g2 = gaps ** 2
+    product = row * col
+    terms = product / g2
+    dh_norm = norm(dh, (-2, -1))
+    spread = (np.abs(product) + dh_norm[:, None] * (np.abs(row) + np.abs(col))) / np.abs(g2)
+    value, weight = terms.sum(axis=1), spread.sum(axis=1)
+    kappa = norm(lefts, -1).max(axis=-1)
+    gap = np.abs(gaps).min(axis=1)
+    bound = SOS_ERROR_FACTOR * matrix_scale(h[ok]) * kappa ** 2 / gap
+    out = [(None, None)] * len(points)
+    for k, chi, err in zip(ok.tolist(), value.tolist(), (bound * weight).tolist()):
+        out[k] = (chi, err)
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,12 +258,13 @@ CELL_STATUS = {
 }
 
 
-def _chi_cell(family, coords, point, band, direction):
-    try:
-        res = susceptibility(family, band, point, direction)
-        return ScanCell(coords, band, STATUS_OK, res.value, res.error_estimate)
-    except tuple(CELL_STATUS) as err:
-        return ScanCell(coords, band, CELL_STATUS[type(err)], None, None)
+def _chi_cells(family, band, coords, points, directions):
+    """ScanCells of one batched sum-over-states call; EP cells are ep_breakdown."""
+    results = _sum_over_states(family, band, points, directions)
+    return [
+        ScanCell(c, band, STATUS_EP_BREAKDOWN if value is None else STATUS_OK, value, err)
+        for c, (value, err) in zip(coords, results)
+    ]
 
 
 def grid_scan(family, box, resolution, band, direction):
@@ -245,21 +279,16 @@ def grid_scan(family, box, resolution, band, direction):
     q1min, q1max, q2min, q2max = box
     q1s = np.linspace(q1min, q1max, nx)
     q2s = np.linspace(q2min, q2max, ny)
-    direction = unit(direction)
-    return [
-        _chi_cell(family, (q1, q2), ParameterPoint(q1, q2), band, direction)
-        for q2 in q2s
-        for q1 in q1s
-    ]
+    coords = [(q1, q2) for q2 in q2s for q1 in q1s]
+    points = [ParameterPoint(float(q1), float(q2)) for q1, q2 in coords]
+    return _chi_cells(family, band, coords, points, [unit(direction)] * len(points))
 
 
 def line_scan(family, q1, q2_values, band, direction):
     """Susceptibility at (q1, q2) for each q2 in `q2_values`, in order."""
-    direction = unit(direction)
-    return [
-        _chi_cell(family, (q1, q2), ParameterPoint(q1, q2), band, direction)
-        for q2 in q2_values
-    ]
+    coords = [(q1, q2) for q2 in q2_values]
+    points = [as_point(c) for c in coords]
+    return _chi_cells(family, band, coords, points, [unit(direction)] * len(points))
 
 
 def polar_sweep(family, center, radii, angles, band):
@@ -276,15 +305,13 @@ def polar_sweep(family, center, radii, angles, band):
         raise ValueError("radii and angles must be nonempty")
     if not all(r > 0 for r in radii):
         raise ValueError(f"all radii must be positive; got {radii}")
-    cells = []
-    for r in radii:
-        for phi in angles:
-            point = ParameterPoint(
-                center.q1 + r * math.cos(phi), center.q2 + r * math.sin(phi)
-            )
-            direction = unit((-math.cos(phi), -math.sin(phi)))
-            cells.append(_chi_cell(family, (r, phi), point, band, direction))
-    return cells
+    coords = [(r, phi) for r in radii for phi in angles]
+    points = [
+        ParameterPoint(center.q1 + r * math.cos(phi), center.q2 + r * math.sin(phi))
+        for r, phi in coords
+    ]
+    directions = [unit((-math.cos(phi), -math.sin(phi))) for _, phi in coords]
+    return _chi_cells(family, band, coords, points, directions)
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):

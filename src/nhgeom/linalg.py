@@ -8,10 +8,10 @@ All routines operate on plain numpy arrays (complex dtype) of dimension
 N <= 16 and are pure functions: safe for concurrent use.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
@@ -26,6 +26,9 @@ TOL_RESID = 1e-10
 TOL_BIORTH = 1e-9
 TOL_COMPLETE = 1e-8
 DEGENERACY_TOL = 1e-8
+# The raw overlap of a band's unit left and right eigenvectors is 1/||L_k||
+# (see `eigendecompose`), so both overlap tolerances are thresholds on the
+# left norms.  Below BREAKDOWN_TOL (relative) normalization breaks down.
 BREAKDOWN_TOL = 1e-12
 # Bands whose raw left-right overlap falls below this absolute value are
 # flagged as near-defective even when the eigenvalue gap is still resolvable
@@ -34,26 +37,42 @@ BREAKDOWN_TOL = 1e-12
 OVERLAP_FLAG_TOL = 1e-6
 
 
-def as_complex_matrix(a):
-    """Validate and return `a` as a square finite complex array."""
+def as_complex_matrix(a, stack=False):
+    """Validate and return `a` as a finite complex square matrix.
+
+    With `stack`, an (N, n, n) stack of matrices is accepted too.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if m.shape[-1] < 1 or m.shape[-1] > MAX_DIM:
+        raise DimensionMismatchError(f"dimension {m.shape[-1]} outside 1..{MAX_DIM}")
+    if not np.isfinite(m).all():
         raise NonFiniteError("matrix contains NaN or Inf")
     return m
 
 
+def norm(x, axis):
+    """2-norm of `x` over `axis`, Frobenius over two axes.
+
+    numpy.linalg.norm's formula without its argument handling, which costs
+    more than the arithmetic on 3x3 matrices.  The same for one matrix and
+    for each matrix of a stack, bit for bit.
+    """
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def matrix_scale(h):
-    """Frobenius norm of `h`, floored at 1 for tolerance scaling."""
-    return max(np.linalg.norm(h), 1.0)
+    """Frobenius norm of `h` (or of each matrix of a stack), floored at 1."""
+    return np.maximum(norm(h, (-2, -1)), 1.0)
 
 
 def band_order(w):
-    """Indices of the eigenvalues `w` by (Re descending, Im descending)."""
-    return sorted(range(len(w)), key=lambda i: (-w[i].real, -w[i].imag))
+    """Indices sorting the eigenvalues `w` (..., n) by (Re desc, Im desc).
+
+    The sort is stable: exactly tied eigenvalues keep their index order.
+    """
+    return np.lexsort((-w.imag, -w.real), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,10 +80,14 @@ class BiorthogonalEigensystem:
     """Matched triples (E_n, <L_n|, |R_n>) of a non-Hermitian matrix.
 
     Rights are unit-norm columns of `rights`; lefts are rows of `lefts`,
-    scaled so that lefts[n] @ rights[:, n] == 1 whenever the overlap allowed
-    it.  Bands are sorted by (Re E descending, Im E descending).
-    `condition_flags[n]` marks bands that are near-degenerate or whose raw
-    left-right overlap was too small for trustworthy normalization.
+    with lefts[n] @ rights[:, n] == 1.  Bands are sorted by (Re E
+    descending, Im E descending).  `condition_flags[n]` marks bands that
+    are near-degenerate or whose raw left-right overlap was too small for
+    trustworthy normalization.
+
+    For a stack of matrices every field gains the stack's leading axis,
+    and `breakdown` marks the matrices whose normalization broke down
+    (their lefts, residuals and flags carry no meaning).
     """
 
     energies: np.ndarray
@@ -72,65 +95,82 @@ class BiorthogonalEigensystem:
     lefts: np.ndarray
     residuals: np.ndarray
     condition_flags: np.ndarray
+    breakdown: np.ndarray = False
 
     @property
     def dim(self):
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
     def completeness_defect(self):
         """Frobenius distance of sum_n |R_n><L_n| from the identity."""
         s = self.rights @ self.lefts
-        return np.linalg.norm(s - np.eye(self.dim))
+        return np.linalg.norm(s - np.eye(self.dim), axis=(-2, -1))
 
     def biorthogonality_defect(self):
         """max |<L_n|R_m> - delta_nm| over all band pairs."""
         g = self.lefts @ self.rights
-        return np.max(np.abs(g - np.eye(self.dim)))
+        return np.max(np.abs(g - np.eye(self.dim)), axis=(-2, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _inf_diagonal(n):
+    """n x n zeros with inf on the diagonal, to drop i == j from a minimum."""
+    return np.where(np.eye(n, dtype=bool), np.inf, 0.0)
 
 
 def eigendecompose(h):
-    """Full biorthogonal eigendecomposition of a dense complex matrix.
+    """Biorthogonal eigendecomposition of a matrix or a stack of matrices.
 
-    Raises NormalizationBreakdownError when any raw left-right overlap is
-    below BREAKDOWN_TOL relative to the matrix norm, which signals an
-    exceptional point within tolerance.  Near-degenerate bands (and bands
-    with a small-but-nonzero overlap) are normalized best-effort and
-    flagged in `condition_flags`.
+    `h` is one (n, n) matrix or an (N, n, n) stack; a stack takes one
+    LAPACK call per matrix and no Python loop.  The rights R are the unit
+    eigenvectors of `numpy.linalg.eig`, the lefts the rows of inv(R), so
+    <L_m|R_k> = delta_mk by construction.  The raw overlap of a unit left
+    with its unit right is then 1/||L_k||.  R is inverted before the band
+    sort and the rows of L permuted with it, which keeps exact zeros exact.
+
+    A band whose raw overlap is below BREAKDOWN_TOL relative to the matrix
+    norm (or a singular R) signals an exceptional point within tolerance:
+    one matrix raises NormalizationBreakdownError, a stack marks the
+    matrix in `breakdown`.  Near-degenerate bands, and bands with a small
+    but nonzero overlap, are flagged in `condition_flags`.
     """
-    h = as_complex_matrix(h)
-    n = h.shape[0]
-    scale = matrix_scale(h)
+    h = as_complex_matrix(h, stack=True)
+    stack = h if h.ndim == 3 else h[None]
+    n = stack.shape[-1]
+    scale = matrix_scale(stack)[:, None]
 
-    w, vl, vr = sla.eig(h, left=True, right=True)
-    order = band_order(w)
-    w = w[order]
-    vr = vr[:, order]
-    lefts = vl[:, order].conj().T  # row n is the left covector of band n
+    w, rights = np.linalg.eig(stack)
+    # inv raises for the whole stack if one R is exactly singular; det
+    # comes from the same LU, so it masks those matrices first.
+    singular = np.linalg.det(rights) == 0
+    safe = np.where(singular[:, None, None], np.eye(n), rights) if singular.any() else rights
+    lefts = np.linalg.inv(safe)
+    # Sort the bands: permute w, the columns of R and the rows of L alike.
+    flat = (band_order(w) + n * np.arange(len(w))[:, None]).ravel()
+    w = w.reshape(-1)[flat].reshape(-1, n)
+    lefts = lefts.reshape(-1, n)[flat].reshape(-1, n, n)
+    rights = rights.swapaxes(1, 2).reshape(-1, n)[flat].reshape(-1, n, n).swapaxes(1, 2)
 
-    overlaps = np.array([lefts[i] @ vr[:, i] for i in range(n)])
-    breakdown = np.abs(overlaps) < BREAKDOWN_TOL * scale
-    if np.any(breakdown):
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlaps = 1.0 / norm(lefts, -1)
+    overlaps[singular] = 0.0
+    # Negated tests, so that a NaN overlap counts as a breakdown.
+    bad = ~(overlaps >= BREAKDOWN_TOL * scale)
+    flags = ~(overlaps >= OVERLAP_FLAG_TOL)
+    if n > 1:
+        gaps = np.abs(w[:, :, None] - w[:, None, :]) + _inf_diagonal(n)
+        flags |= gaps.min(axis=-1) < DEGENERACY_TOL * scale
+    residuals = norm(stack @ rights - rights * w[:, None, :], -2)
+
+    if h.ndim == 3:
+        return BiorthogonalEigensystem(w, rights, lefts, residuals, flags, bad.any(axis=-1))
+    if bad.any():
         raise NormalizationBreakdownError(
             f"left-right overlap below {BREAKDOWN_TOL:g}*|H| for bands "
-            f"{np.nonzero(breakdown)[0].tolist()}: exceptional point within tolerance",
-            overlaps=overlaps,
+            f"{np.nonzero(bad[0])[0].tolist()}: exceptional point within tolerance",
+            overlaps=overlaps[0],
         )
-
-    flags = np.abs(overlaps) < OVERLAP_FLAG_TOL
-    if n > 1:
-        gaps = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        flags |= gaps.min(axis=1) < DEGENERACY_TOL * scale
-    lefts = lefts / overlaps[:, None]
-
-    residuals = np.linalg.norm(h @ vr - vr * w[None, :], axis=0)
-    return BiorthogonalEigensystem(
-        energies=w,
-        rights=vr,
-        lefts=lefts,
-        residuals=residuals,
-        condition_flags=flags,
-    )
+    return BiorthogonalEigensystem(w[0], rights[0], lefts[0], residuals[0], flags[0])
 
 
 def solve_linear(a, b, rank_tol=1e-12):

@@ -11,8 +11,10 @@ Exceptional lines are traced by predictor-corrector continuation.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -41,8 +43,7 @@ class Phase(enum.Enum):
     NEAR_EP = "near_ep"
 
 
-@dataclass(frozen=True)
-class PhaseLabel:
+class PhaseLabel(NamedTuple):
     label: Phase
     max_imag: float
     min_gap: float
@@ -65,24 +66,42 @@ class EPLocation:
 def closest_pair(w):
     """(gap, i, j): the smallest |w[i] - w[j]| over i < j, first such pair.
 
-    A scalar loop on purpose: at n = 3 it is about twice as fast as a
-    vectorised gap matrix, and the matrix form can differ in the last bit.
+    A scalar loop on purpose: at n = 3 it is about twice as fast as the
+    vectorised form for one spectrum.
     """
     n = len(w)
     return min((abs(w[i] - w[j]), i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """Index arrays (i, j) of the pairs i < j, in `closest_pair`'s order."""
+    return np.triu_indices(n, 1)
+
+
+# Indexed by 2 * near_ep + broken: a collapsed gap outranks complex energies.
+_PHASES = np.array([Phase.UNBROKEN, Phase.BROKEN, Phase.NEAR_EP, Phase.NEAR_EP])
+
+
 def phase_of(w, scale):
-    """PT phase label of the eigenvalues `w` of a matrix of norm `scale`."""
-    max_imag = float(np.max(np.abs(w.imag)))
-    gap = closest_pair(w)[0]
-    if gap <= NEAR_EP_GAP_TOL * scale:
-        label = Phase.NEAR_EP
-    elif max_imag > REALITY_TOL * scale:
-        label = Phase.BROKEN
+    """PT phase label of the eigenvalues `w` (..., n) of matrices of norm `scale`.
+
+    One spectrum gives a PhaseLabel of a Phase and two floats, with the
+    gap from `closest_pair`, the faster form for one spectrum.  A stack of
+    spectra gives one of arrays over the stack (Phase members in an object
+    array), its gaps vectorised: numpy's hypot is bit for bit the complex
+    abs of the scalar loop (numpy's complex abs can differ in the last bit).
+    """
+    if w.ndim == 1:
+        gap, max_imag = float(closest_pair(w)[0]), float(np.max(np.abs(w.imag)))
+        scale = float(scale)
     else:
-        label = Phase.UNBROKEN
-    return PhaseLabel(label=label, max_imag=max_imag, min_gap=gap)
+        i, j = _pairs(w.shape[-1])
+        d = w.take(i, axis=-1) - w.take(j, axis=-1)
+        gap = np.minimum.reduce(np.hypot(d.real, d.imag), axis=-1)
+        max_imag = np.maximum.reduce(np.abs(w.imag), axis=-1)
+    code = 2 * (gap <= NEAR_EP_GAP_TOL * scale) + (max_imag > REALITY_TOL * scale)
+    return PhaseLabel(label=_PHASES[code], max_imag=max_imag, min_gap=gap)
 
 
 def min_gap(family, p):
@@ -143,9 +162,11 @@ def find_ep_on_segment(family, a, b):
     segment crosses the exceptional line), or a root of p' or an end of
     the segment where |p| is within TOUCH_NOISE_FACTOR noise bounds (a
     touching zero, as at the Dirac EP, which lies inside the PT-unbroken
-    phase).  Of these candidates the one with the smallest eigenvalue gap
-    is returned, as an unclassified EPLocation; `jordan.classify_ep` gives
-    its kind.  Raises EPNotFoundError when there is no candidate, and
+    phase).  A sign change within the fit's root resolution of a touching
+    zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
+    split by noise and gives way to it.  Of the remaining candidates the
+    one with the smallest eigenvalue gap is returned, as an unclassified
+    EPLocation; `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when there is no candidate, and
     ValueError for a family that is not 3x3.
     """
     a, b = as_point(a), as_point(b)
@@ -164,7 +185,17 @@ def find_ep_on_segment(family, a, b):
     # Stationary points, and the segment's ends, where disc touches zero.
     stationary = np.concatenate([_real_roots(cheb.chebder(p)), [-1.0, 1.0]])
     touching = stationary[np.abs(cheb.chebval(stationary, p)) <= TOUCH_NOISE_FACTOR * noise]
-    candidates = np.concatenate([_real_roots(p), touching])
+    # Within the fit's root resolution of a touching zero, where |p| stays
+    # below the touch threshold, noise can split the double root into two
+    # sign changes; the touching point is the better estimate of it.
+    crossings = _real_roots(p)
+    if crossings.size and touching.size:
+        with np.errstate(divide="ignore"):
+            curvature = np.abs(cheb.chebval(touching, cheb.chebder(p, 2)))
+            resolution = np.sqrt(2 * TOUCH_NOISE_FACTOR * noise / curvature)
+        split = np.abs(crossings[:, None] - touching) <= resolution
+        crossings = crossings[~split.any(axis=1)]
+    candidates = np.concatenate([crossings, touching])
     if candidates.size == 0:
         raise EPNotFoundError(
             f"the discriminant on segment {a} -> {b} neither changes sign nor "

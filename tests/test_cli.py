@@ -1,13 +1,25 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhgeom import NotDefectiveError
+from nhgeom import NotDefectiveError, nv_family
 from nhgeom.cli import main
+from nhgeom.linalg import matrix_scale
+from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 Q2_STAR = math.sqrt(17.0 / 8.0)
 
@@ -67,6 +79,93 @@ class TestSpectrumScan:
         ])
         assert result.exit_code == 2
         assert not out.exists()
+
+
+def reference_spectrum_rows(family, q1s, q2s):
+    """spectrum-scan rows built point by point: one eigvals per cell,
+    `closest_pair` for the gap and the (Re desc, Im desc) band sort key."""
+    rows = []
+    for q2 in q2s:
+        for q1 in q1s:
+            h = family.matrix((q1, q2))
+            w = np.linalg.eigvals(h)
+            scale = matrix_scale(h)
+            if closest_pair(w)[0] <= NEAR_EP_GAP_TOL * scale:
+                label = "near_ep"
+            elif max(abs(x.imag) for x in w) > REALITY_TOL * scale:
+                label = "broken"
+            else:
+                label = "unbroken"
+            order = sorted(range(len(w)), key=lambda k: (-w[k].real, -w[k].imag))
+            for slot, k in enumerate(order):
+                rows.append([repr(float(q1)), repr(float(q2)), str(1 - slot),
+                             repr(float(w[k].real)), repr(float(w[k].imag)), label])
+    return rows
+
+
+def reference_label(family, q2):
+    return reference_spectrum_rows(family, [0.0], [q2])[0][5]
+
+
+def label_edge(family, lo, hi):
+    """Adjacent floats q2 < q2' on q1 = 0 where the reference label changes."""
+    start = reference_label(family, lo)
+    assert reference_label(family, hi) != start
+    while np.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        if reference_label(family, mid) == start:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def edge_values():
+    """q2 values on both sides of the NEAR_EP_GAP_TOL edge by the Dirac EP
+    and of the REALITY_TOL edge by the conventional EP, a few ulps out."""
+    family = nv_family()
+    values = []
+    for lo, hi in ((1.0, 1.0 + 1e-6), (Q2_STAR - 1e-3, Q2_STAR + 1e-3)):
+        a, b = label_edge(family, lo, hi)
+        for _ in range(3):
+            values += [a, b]
+            a, b = np.nextafter(a, -np.inf), np.nextafter(b, np.inf)
+    return values
+
+
+EDGE_Q2 = edge_values()
+
+
+class TestSpectrumScanReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-9]), st.floats(-2.0, 2.0)),
+        st.floats(-2.0, 2.0),
+        st.one_of(st.sampled_from(EDGE_Q2), st.floats(0.0, 2.0)),
+        st.one_of(st.sampled_from(EDGE_Q2), st.floats(0.0, 2.0)),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_rows_match_pointwise_reference(self, family, q1a, q1b, q2a, q2b, nx, ny):
+        # With resolution 2 the box edges are the cells' coordinates, so a
+        # sampled edge value puts a cell exactly on a label threshold.
+        box = ",".join(repr(float(v)) for v in (q1a, q1b, q2a, q2b))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "spec.csv"
+            run_ok(CliRunner(), [
+                "spectrum-scan", "--box", box, "--resolution", f"{nx},{ny}",
+                "--out", str(out),
+            ])
+            _, rows = read_csv(out)
+        want = reference_spectrum_rows(
+            family, np.linspace(q1a, q1b, nx), np.linspace(q2a, q2b, ny)
+        )
+        assert rows == want
+
+    def test_edges_are_on_both_sides_of_each_threshold(self, family):
+        labels = [reference_label(family, q2) for q2 in EDGE_Q2]
+        assert {"near_ep", "unbroken", "broken"} <= set(labels)
+        assert labels[0] != labels[1] and labels[6] != labels[7]
 
 
 class TestChiScan:
@@ -346,6 +445,23 @@ class TestConfigAndManifest:
         assert result.exit_code == 2
         assert "cannot read config file" in result.output
 
+    def test_manifest_records_versions_and_statuses(self, runner, tmp_path):
+        out = tmp_path / "scan.csv"
+        run_ok(runner, [
+            "chi-scan", "--box", "-0.1,0.1,0.9,1.1", "--resolution", "3,3",
+            "--out", str(out),
+        ])
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["status"] == {"ok": 8, "ep_breakdown": 1}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert set(manifest["versions"]) == {"python", "numpy", "click"}
+        out = tmp_path / "dirac.json"
+        run_ok(runner, [
+            "ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json", "--out", str(out),
+        ])
+        manifest = json.loads((tmp_path / "dirac.json.manifest.json").read_text())
+        assert "versions" in manifest and "status" not in manifest
+
     def test_unknown_model_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "chi-scan", "--model", "nope", "--out", str(tmp_path / "x.csv"),
@@ -389,3 +505,30 @@ def test_command_rejects_options_it_does_not_use(runner, tmp_path, command, flag
     assert not out.exists()
     run_ok(runner, args)
     assert out.exists()
+
+
+# The README's chi sweeps.
+README_CHI_COMMANDS = [
+    ["chi-scan", "--box", "-1.5,1.5,0,2", "--resolution", "41,41"],
+    ["line-cut", "--q1", "0", "--q2-range", "0,0.99", "--n-points", "200"],
+    ["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
+]
+
+
+@pytest.mark.parametrize("args", README_CHI_COMMANDS, ids=lambda a: a[0])
+def test_readme_chi_sweeps_raise_no_warning(runner, tmp_path, args):
+    # Overflow in the left norms at EP cells must stay inside the kernel.
+    out = tmp_path / "chi.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_ok(runner, args + ["--out", str(out)])
+    assert out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, nhgeom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -202,6 +202,13 @@ def mp_susceptibility(q1, q2, band, direction):
         return sum(a[k, m] * a[m, k] / (e[k] - e[m]) ** 2 for m in range(3) if m != k)
 
 
+def mp_energies(q1, q2):
+    """The three eigenvalues of H(q1, q2), from 50 digits, as complex floats."""
+    with mpmath.workdps(MP_DPS):
+        e, _ = mpmath.eig(_mp_nv(q1, q2))
+        return [complex(x) for x in e]
+
+
 def mp_exceptional_q2(q1, lo=1.0005, hi=1.5):
     """q2 of the conventional exceptional line at q1, to 50 digits.
 
@@ -289,6 +296,33 @@ class TestSusceptibilityOracles:
             if not abs(res.value - exact) <= res.error_estimate:
                 failures.append((p, band, direction, res.value, exact, res.error_estimate))
         assert len(triples) >= 20
+        assert not failures, failures
+
+    def test_error_bar_holds_at_random_points(self, family):
+        # Random points of the PT-unbroken phase at least 0.05 from any
+        # eigenvalue coalescence, random directions, every band; the error
+        # bar is the only tolerance.  The bar must cover the round-off of
+        # small matrix elements, not only of the products: at the fixed
+        # first point chi_F is 1e-4 while its terms are 1e-3.  Broken-phase
+        # points are left out, because which member of a conjugate pair
+        # carries a band label is decided by round-off there.
+        rng = np.random.default_rng(7)
+        points = [(-1.40495, 0.718259)]
+        while len(points) < 100:
+            p = (rng.uniform(-1.6, 1.6), rng.uniform(0.0, 2.0))
+            e = mp_energies(*p)
+            gaps = [abs(e[i] - e[j]) for i in range(3) for j in range(i + 1, 3)]
+            if max(abs(x.imag) for x in e) < 1e-30 and min(gaps) >= 0.05:
+                points.append(p)
+        failures = []
+        for k, p in enumerate(points):
+            phi = -0.57889 if k == 0 else rng.uniform(0.0, math.pi)
+            direction = (math.cos(phi), math.sin(phi))
+            for band in (-1, 0, 1):
+                res = susceptibility(family, band, p, direction)
+                exact = complex(mp_susceptibility(*p, band, res.direction))
+                if not abs(res.value - exact) <= res.error_estimate:
+                    failures.append((p, band, direction, res.value, exact, res.error_estimate))
         assert not failures, failures
 
     def test_exact_zeros_on_dirac_line(self, family):
@@ -394,6 +428,35 @@ class TestGridScan:
     def test_degenerate_resolution_rejected(self, family):
         with pytest.raises(ValueError):
             grid_scan(family, (-1, 1, 0, 1), (1, 5), 0, (0.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                      st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+            # Boxes centred on the Dirac EP: odd resolutions put a cell on it.
+            st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(
+                lambda ab: (-ab[0], ab[0], 1.0 - ab[1], 1.0 + ab[1])),
+        ),
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.sampled_from((-1, 0, 1)),
+        st.floats(0.0, 2 * math.pi),
+    )
+    def test_cells_equal_pointwise_susceptibility(self, family, box, nx, ny, band, phi):
+        # The batched kernel and its one-point case agree bit for bit, and
+        # a cell is ep_breakdown exactly where the point raises.
+        direction = (math.cos(phi), math.sin(phi))
+        for cell in grid_scan(family, box, (nx, ny), band, direction):
+            try:
+                res = susceptibility(family, band, cell.coords, direction)
+            except NormalizationBreakdownError:
+                assert cell.status == "ep_breakdown" and cell.value is None
+                continue
+            assert cell.status == "ok"
+            got = (cell.value.real, cell.value.imag, cell.error_estimate)
+            want = (res.value.real, res.value.imag, res.error_estimate)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestPolarSweep:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nhgeom import (
+    DimensionMismatchError,
     NonFiniteError,
     NormalizationBreakdownError,
     eigendecompose,
@@ -9,7 +12,7 @@ from nhgeom import (
     null_space,
     solve_linear,
 )
-from nhgeom.linalg import TOL_BIORTH, TOL_COMPLETE, TOL_RESID
+from nhgeom.linalg import BREAKDOWN_TOL, TOL_BIORTH, TOL_COMPLETE, TOL_RESID
 
 from conftest import sorted_complex
 
@@ -105,6 +108,48 @@ class TestEigendecompose:
         wa = sorted_complex(eigendecompose(a).energies)
         wb = sorted_complex(eigendecompose(b).energies)
         assert np.allclose(wa, wb, atol=1e-7)
+
+
+class TestStackedEigendecompose:
+    def test_stack_equals_single_matrices_bitwise(self, family, rng):
+        points = [(rng.uniform(-2, 2), rng.uniform(0, 2)) for _ in range(40)]
+        stack = eigendecompose(np.array([family.matrix(p) for p in points]))
+        assert not stack.breakdown.any()
+        for k, p in enumerate(points):
+            one = eigendecompose(family.matrix(p))
+            for field in ("energies", "rights", "lefts", "residuals", "condition_flags"):
+                assert np.array_equal(getattr(stack, field)[k], getattr(one, field))
+
+    def test_breakdown_is_marked_not_raised(self, family):
+        # The Dirac EP (0, 1), and a nilpotent Jordan block, for which eig
+        # returns an exactly singular R (inv alone would raise for the
+        # whole stack).  No RuntimeWarning may escape either.
+        jordan3 = np.diag([1.0, 1.0], k=1)
+        assert np.linalg.det(np.linalg.eig(jordan3)[1]) == 0
+        matrices = [family.matrix((0.3, 0.5)), family.matrix((0.0, 1.0)),
+                    jordan3, family.matrix((-0.4, 1.7))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = eigendecompose(np.array(matrices))
+        assert stack.breakdown.tolist() == [False, True, True, False]
+        for h, broke in zip(matrices, stack.breakdown):
+            if broke:
+                with pytest.raises(NormalizationBreakdownError) as err:
+                    eigendecompose(h)
+                assert np.min(err.value.overlaps) < BREAKDOWN_TOL * matrix_scale(h)
+            else:
+                eigendecompose(h)
+
+    def test_lefts_are_the_inverse_of_the_rights(self, family):
+        sys = eigendecompose(family.matrix((0.4, 0.7)))
+        assert np.allclose(sys.lefts @ sys.rights, np.eye(3), atol=1e-13)
+        assert np.allclose(np.linalg.norm(sys.rights, axis=0), 1.0, atol=1e-14)
+
+    def test_single_matrix_rejects_higher_rank_input(self):
+        with pytest.raises(DimensionMismatchError):
+            eigendecompose(np.zeros((2, 2, 3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            null_space(np.zeros((2, 3, 3)))
 
 
 class TestSolveLinear:

@@ -181,6 +181,14 @@ class TestLocatorReferences:
         assert classify_ep(family, ep) is EPKind.DIRAC
 
     @settings(max_examples=50, deadline=None)
+    @given(angles, ends, ends)
+    def test_dirac_point_to_the_fit_resolution(self, family, angle, before, after):
+        # Fit noise splits the touching zero into two sign changes about
+        # 3e-8 apart; the stationary root between them is the EP.
+        ep = find_ep_on_segment(family, *segment_through((0.0, 1.0), angle, before, after))
+        assert math.hypot(ep.point.q1, ep.point.q2 - 1.0) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
     @given(angles, ends, ends, st.sampled_from([1e-5, -1e-5, 1e-6, -1e-6]))
     def test_near_misses_are_not_eps(self, family, angle, before, after, offset):
         a, b = segment_through(off_dirac(angle, offset), angle, before, after)
