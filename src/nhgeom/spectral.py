@@ -14,7 +14,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -43,7 +42,8 @@ class Phase(enum.Enum):
     NEAR_EP = "near_ep"
 
 
-class PhaseLabel(NamedTuple):
+@dataclass(frozen=True)
+class PhaseLabel:
     label: Phase
     max_imag: float
     min_gap: float
@@ -66,8 +66,8 @@ class EPLocation:
 def closest_pair(w):
     """(gap, i, j): the smallest |w[i] - w[j]| over i < j, first such pair.
 
-    A scalar loop on purpose: at n = 3 it is about twice as fast as the
-    vectorised form for one spectrum.
+    A scalar loop on purpose: at n = 3 it is about twice as fast as a
+    vectorised gap matrix for one spectrum.
     """
     n = len(w)
     return min((abs(w[i] - w[j]), i, j) for i in range(n) for j in range(i + 1, n))
@@ -86,20 +86,17 @@ _PHASES = np.array([Phase.UNBROKEN, Phase.BROKEN, Phase.NEAR_EP, Phase.NEAR_EP])
 def phase_of(w, scale):
     """PT phase label of the eigenvalues `w` (..., n) of matrices of norm `scale`.
 
-    One spectrum gives a PhaseLabel of a Phase and two floats, with the
-    gap from `closest_pair`, the faster form for one spectrum.  A stack of
+    One spectrum gives a PhaseLabel of a Phase and two floats; a stack of
     spectra gives one of arrays over the stack (Phase members in an object
-    array), its gaps vectorised: numpy's hypot is bit for bit the complex
-    abs of the scalar loop (numpy's complex abs can differ in the last bit).
+    array).  numpy's hypot is bit for bit the complex abs of `closest_pair`
+    (numpy's own complex abs can differ in the last bit).
     """
+    i, j = _pairs(w.shape[-1])
+    d = w.take(i, axis=-1) - w.take(j, axis=-1)
+    gap = np.minimum.reduce(np.hypot(d.real, d.imag), axis=-1)
+    max_imag = np.maximum.reduce(np.abs(w.imag), axis=-1)
     if w.ndim == 1:
-        gap, max_imag = float(closest_pair(w)[0]), float(np.max(np.abs(w.imag)))
-        scale = float(scale)
-    else:
-        i, j = _pairs(w.shape[-1])
-        d = w.take(i, axis=-1) - w.take(j, axis=-1)
-        gap = np.minimum.reduce(np.hypot(d.real, d.imag), axis=-1)
-        max_imag = np.maximum.reduce(np.abs(w.imag), axis=-1)
+        gap, max_imag, scale = float(gap), float(max_imag), float(scale)
     code = 2 * (gap <= NEAR_EP_GAP_TOL * scale) + (max_imag > REALITY_TOL * scale)
     return PhaseLabel(label=_PHASES[code], max_imag=max_imag, min_gap=gap)
 
