@@ -28,8 +28,6 @@ from .linalg import (
 from .model import (
     HamiltonianFamily,
     ParameterPoint,
-    SpinOperators,
-    build_spin1,
     get_family,
     nv_family,
     nv_gradient,

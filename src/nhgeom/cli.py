@@ -3,7 +3,8 @@
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
 recording the fully resolved configuration, tool, python, numpy and click
 versions, wall time and row count (and, for chi sweeps, the number of
-cells of each status).
+cells of each status; for ep-locate, the located point's residual gap and
+|discriminant|).
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -31,6 +32,7 @@ from .jordan import classify_ep, jordan_chain, sqrt_coefficient
 from .spectral import (
     EPKind,
     closest_pair,
+    discriminant,
     ep_at,
     find_ep_on_segment,
     phase_of,
@@ -364,8 +366,12 @@ def cmd_ep_locate(family, out, fmt, segment):
         kind = classify_ep(family, ep)
     except NhgeomError:
         kind = EPKind.UNCLASSIFIED
+    evidence = {
+        "residual_gap": ep.gap,
+        "discriminant": abs(discriminant(family, ep.point)),
+    }
     if fmt == "json":
-        return write_record(out, {
+        return evidence | write_record(out, {
             "point": [ep.point.q1, ep.point.q2],
             "energy": [ep.coalesced_energy.real, ep.coalesced_energy.imag],
             "kind": kind.value,
@@ -379,7 +385,7 @@ def cmd_ep_locate(family, out, fmt, segment):
         kind.value,
         fnum(ep.defect_measure),
     ]
-    return write_rows(
+    return evidence | write_rows(
         out, "csv", ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"], [row]
     )
 

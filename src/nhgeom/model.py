@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import NonFiniteError
 
-SQRT2 = math.sqrt(2.0)
-
 
 class ParameterPoint(NamedTuple):
     q1: float
@@ -32,26 +30,6 @@ def as_point(p):
     if not (math.isfinite(pt.q1) and math.isfinite(pt.q2)):
         raise NonFiniteError(f"non-finite parameter point {pt}")
     return pt
-
-
-@dataclass(frozen=True)
-class SpinOperators:
-    """Spin-1 matrices Sx, Sy, Sz in the (+1, 0, -1) basis, hbar = 1."""
-
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-def build_spin1():
-    isq2 = 1.0 / SQRT2
-    sx = np.array([[0, isq2, 0], [isq2, 0, isq2], [0, isq2, 0]], dtype=complex)
-    sy = np.array(
-        [[0, -1j * isq2, 0], [1j * isq2, 0, -1j * isq2], [0, 1j * isq2, 0]],
-        dtype=complex,
-    )
-    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    return SpinOperators(sx=sx, sy=sy, sz=sz)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class EPKind(enum.Enum):
 class EPLocation:
     point: ParameterPoint
     coalesced_energy: complex
-    kind: EPKind
+    gap: float  # residual eigenvalue gap: the smallest |E_i - E_j| of H(point)
     defect_measure: float
 
 
@@ -134,17 +134,19 @@ def discriminant(family, p):
 
 
 def ep_at(family, p, energy):
-    """Unclassified EPLocation at `p` with its eigenvector Gram defect.
+    """EPLocation at `p` with its residual gap and eigenvector Gram defect.
 
-    The defect is the smallest singular value of the Gram matrix of the
-    unit right eigenvectors of H(p): zero where two of them coincide.
+    Both come from one eigendecomposition of H(p).  The gap is the
+    smallest pairwise eigenvalue distance; the defect is the smallest
+    singular value of the Gram matrix of the unit right eigenvectors:
+    zero where two of them coincide.
     """
-    _, v = np.linalg.eig(family.matrix(p))
+    w, v = np.linalg.eig(family.matrix(p))
     v = v / np.linalg.norm(v, axis=0)[None, :]
     g = v.conj().T @ v
     defect = float(np.linalg.svd(g, compute_uv=False)[-1])
     return EPLocation(
-        point=p, coalesced_energy=energy, kind=EPKind.UNCLASSIFIED, defect_measure=defect
+        point=p, coalesced_energy=energy, gap=float(closest_pair(w)[0]), defect_measure=defect
     )
 
 
@@ -162,9 +164,9 @@ def find_ep_on_segment(family, a, b):
     phase).  A sign change within the fit's root resolution of a touching
     zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
     split by noise and gives way to it.  Of the remaining candidates the
-    one with the smallest eigenvalue gap is returned, as an unclassified
-    EPLocation; `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when there is no candidate, and
-    ValueError for a family that is not 3x3.
+    one with the smallest eigenvalue gap is returned, as an EPLocation;
+    `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when
+    there is no candidate, and ValueError for a family that is not 3x3.
     """
     a, b = as_point(a), as_point(b)
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,3 +62,51 @@ def sorted_complex(w):
     """
     w = np.asarray(w, dtype=complex)
     return w[np.lexsort((np.round(w.imag, 10), np.round(w.real, 10)))]
+
+
+# 50-digit references built from the closed-form characteristic polynomial
+# x^3 + b x^2 + c x + d of the NV family, without nhgeom.
+def reference_discriminant(q1, q2):
+    b = -6
+    c = 7 - 4 * q1 ** 2 + 2 * q2 ** 2
+    d = 6 * (1 - q2 ** 2)
+    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+
+
+def reference_line_q2(q1):
+    """q2 of the exceptional line at q1, |q1| <= 0.9, to 50 digits.
+
+    The discriminant is positive (PT unbroken) at q2 = 1.05 and negative
+    (broken) at q2 = 2 for these q1; bisection finds its sign change.
+    """
+    with mpmath.workdps(50):
+        q1 = mpmath.mpf(q1)
+        lo, hi = mpmath.mpf("1.05"), mpmath.mpf(2)
+        assert reference_discriminant(q1, lo) > 0 > reference_discriminant(q1, hi)
+        while hi - lo > mpmath.mpf(10) ** -45:
+            mid = (lo + hi) / 2
+            if reference_discriminant(q1, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def reference_double_root(q1, q2):
+    """The double eigenvalue at a point (q1, q2) of the exceptional line.
+
+    For a monic cubic (x - r)^2 (x - s) = x^3 + b x^2 + c x + d,
+    9 d - b c = 2 r (r - s)^2 and b^2 - 3 c = (r - s)^2.
+    """
+    with mpmath.workdps(50):
+        q1, q2 = mpmath.mpf(q1), mpmath.mpf(q2)
+        b, c, d = -6, 7 - 4 * q1 ** 2 + 2 * q2 ** 2, 6 * (1 - q2 ** 2)
+        return (9 * d - b * c) / (2 * (b * b - 3 * c))
+
+
+def segment_through(center, angle, before, after):
+    u = (math.cos(angle), math.sin(angle))
+    return (
+        (center[0] - before * u[0], center[1] - before * u[1]),
+        (center[0] + after * u[0], center[1] + after * u[1]),
+    )

@@ -293,6 +293,19 @@ class TestEpLocate:
         assert abs(float(rows[0][1]) - Q2_STAR) <= 1e-6
         assert abs(float(rows[0][2]) - 1.5) <= 1e-6
 
+    @pytest.mark.parametrize("segment, fmt, gap_bound, disc_bound", [
+        ("0,0.5,0,1.3", "json", 1e-7, 1e-12),
+        ("0,1.2,0,1.7", "csv", 1e-6, 1e-10),
+    ])
+    def test_manifest_carries_accuracy_evidence(
+        self, runner, tmp_path, segment, fmt, gap_bound, disc_bound
+    ):
+        out = tmp_path / f"ep.{fmt}"
+        run_ok(runner, ["ep-locate", "--segment", segment, "--format", fmt, "--out", str(out)])
+        manifest = json.loads((tmp_path / f"ep.{fmt}.manifest.json").read_text())
+        assert 0.0 <= manifest["residual_gap"] <= gap_bound
+        assert 0.0 <= manifest["discriminant"] <= disc_bound
+
     def test_no_ep_exits_3(self, runner, tmp_path):
         result = runner.invoke(main, [
             "ep-locate", "--segment", "0,0.1,0,0.5", "--out", str(tmp_path / "x.csv"),

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,11 @@ from nhgeom import (
     nv_gradient,
     sqrt_coefficient,
 )
-from nhgeom.jordan import JordanChain
-from nhgeom.spectral import EPLocation
+from nhgeom import jordan
+from nhgeom.jordan import DIRAC_CHAIN_AMP_TOL, JordanChain
+from nhgeom.spectral import EPLocation, ep_at
+
+from conftest import reference_double_root, reference_line_q2, segment_through
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 
@@ -161,7 +167,7 @@ class TestClassifyEP:
         ep = EPLocation(
             point=ParameterPoint(0.0, 1.0),
             coalesced_energy=3.0 + 0.0j,
-            kind=EPKind.UNCLASSIFIED,
+            gap=0.0,
             defect_measure=0.0,
         )
         with pytest.raises(NotDefectiveError):
@@ -170,3 +176,107 @@ class TestClassifyEP:
     def test_too_few_angles(self, family, dirac_ep):
         with pytest.raises(ValueError):
             classify_ep(family, dirac_ep, angle_samples=3)
+
+
+def chain_amplitudes(h, energy, gradient):
+    """|<phi0|dH_i|psi0>| / (||phi0|| ||psi0|| ||dH_i||) for each dH_i.
+
+    psi0 and phi0 are the right and left singular vectors of H - E for its
+    smallest singular value (unit vectors), not `jordan_chain`'s.
+    """
+    u, _, vh = np.linalg.svd(np.asarray(h) - energy * np.eye(len(h)))
+    psi0, phi0 = vh[-1].conj(), u[:, -1].conj()
+    return [abs(phi0 @ d @ psi0) / np.linalg.norm(d) for d in gradient]
+
+
+class TestChainAmplitudeClassifier:
+    def test_margins_at_located_dirac_eps_and_reference_crossings(self, family, rng):
+        dirac_amps = []
+        for _ in range(50):
+            segment = segment_through(
+                (0.0, 1.0), rng.uniform(0.0, 2 * math.pi), *rng.uniform(0.15, 0.3, 2)
+            )
+            ep = find_ep_on_segment(family, *segment)
+            dirac_amps += chain_amplitudes(
+                family.matrix(ep.point), ep.coalesced_energy, nv_gradient(ep.point)
+            )
+            assert classify_ep(family, ep) is EPKind.DIRAC
+        crossing_amps = []
+        for q1 in rng.uniform(-0.9, 0.9, 50):
+            q2 = reference_line_q2(q1)
+            point = ParameterPoint(float(q1), float(q2))
+            energy = complex(reference_double_root(q1, q2))
+            crossing_amps.append(max(
+                chain_amplitudes(family.matrix(point), energy, nv_gradient(point))
+            ))
+            ep = ep_at(family, point, energy)
+            assert classify_ep(family, ep) is EPKind.CONVENTIONAL
+        assert max(dirac_amps) <= 1e-12 < DIRAC_CHAIN_AMP_TOL
+        assert min(crossing_amps) >= 0.1 > DIRAC_CHAIN_AMP_TOL
+
+    def test_one_chain_and_no_splitting_fit(
+        self, family, dirac_ep, conventional_ep, monkeypatch
+    ):
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(jordan, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("jordan_chain", "sqrt_coefficient"):
+            monkeypatch.setattr(jordan, name, counted(name))
+        for ep in (dirac_ep, conventional_ep):
+            calls.clear()
+            classify_ep(family, ep)
+            assert calls == {"jordan_chain": 1}
+
+    def test_broken_ring_decides_when_both_amplitudes_vanish(self):
+        # H = [[0, 1], [-(q1^2 + q2^2), 0]]: both derivatives vanish at the
+        # origin, a Jordan block, but the eigenvalues +/- i r are complex on
+        # every ring around it.
+        cone = HamiltonianFamily(
+            name="imaginary-cone",
+            dimension=2,
+            builder=lambda p: np.array(
+                [[0, 1], [-(p.q1 ** 2 + p.q2 ** 2), 0]], dtype=complex
+            ),
+            gradient=lambda p: (
+                np.array([[0, 0], [-2 * p.q1, 0]], dtype=complex),
+                np.array([[0, 0], [-2 * p.q2, 0]], dtype=complex),
+            ),
+        )
+        ep = ep_at(cone, ParameterPoint(0.0, 0.0), 0j)
+        assert not np.any(cone.gradient(ep.point))
+        assert classify_ep(cone, ep) is EPKind.CONVENTIONAL
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_amplitude_decides_inside_an_unbroken_ring(self, eps):
+        # Eigenvalues +/- sqrt(2 q1^2 + q2^2 + eps q1): the exceptional line
+        # is an ellipse of width eps / 2 through the origin, so the ring
+        # at NEIGHBOR_RADIUS lies wholly in the unbroken phase, but the
+        # chain amplitude along q1 is eps / sqrt(2 + eps^2).
+        ellipse = HamiltonianFamily(
+            name="small-ellipse",
+            dimension=2,
+            builder=lambda p: np.array(
+                [[p.q1, 1], [p.q1 ** 2 + p.q2 ** 2 + eps * p.q1, -p.q1]], dtype=complex
+            ),
+            gradient=lambda p: (
+                np.array([[1, 0], [eps + 2 * p.q1, -1]], dtype=complex),
+                np.array([[0, 0], [2 * p.q2, 0]], dtype=complex),
+            ),
+        )
+        ep = ep_at(ellipse, ParameterPoint(0.0, 0.0), 0j)
+        dq1, _ = ellipse.gradient(ep.point)
+        [amp] = chain_amplitudes(ellipse.matrix(ep.point), 0.0, [dq1])
+        assert amp == pytest.approx(eps / math.sqrt(2 + eps ** 2), rel=1e-12)
+        ring = [
+            np.linalg.eigvals(ellipse.matrix((1e-2 * math.cos(t), 1e-2 * math.sin(t))))
+            for t in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+        ]
+        assert np.max(np.abs(np.imag(ring))) <= 1e-12
+        assert classify_ep(ellipse, ep) is EPKind.CONVENTIONAL

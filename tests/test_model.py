@@ -1,9 +1,30 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from nhgeom import NonFiniteError, build_spin1, get_family, nv_gradient, nv_hamiltonian
+from nhgeom import NonFiniteError, get_family, nv_gradient, nv_hamiltonian
+
+
+@dataclass(frozen=True)
+class SpinOperators:
+    """Spin-1 matrices Sx, Sy, Sz in the (+1, 0, -1) basis, hbar = 1."""
+
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+
+
+def build_spin1():
+    isq2 = 1.0 / math.sqrt(2.0)
+    sx = np.array([[0, isq2, 0], [isq2, 0, isq2], [0, isq2, 0]], dtype=complex)
+    sy = np.array(
+        [[0, -1j * isq2, 0], [1j * isq2, 0, -1j * isq2], [0, 1j * isq2, 0]],
+        dtype=complex,
+    )
+    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    return SpinOperators(sx=sx, sy=sy, sz=sz)
 
 
 def nv_hamiltonian_from_operators(p):

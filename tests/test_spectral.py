@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,12 @@ from nhgeom import (
 )
 from nhgeom.spectral import closest_pair, min_gap
 
-from conftest import nv_axis_energies, sorted_complex
+from conftest import (
+    nv_axis_energies,
+    reference_line_q2,
+    segment_through,
+    sorted_complex,
+)
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 
@@ -66,7 +70,7 @@ class TestFindEP:
         assert abs(ep.point.q1) <= 1e-8
         assert abs(ep.point.q2 - 1.0) <= 1e-7
         assert abs(ep.coalesced_energy - 3.0) <= 1e-8
-        assert ep.kind is EPKind.UNCLASSIFIED
+        assert ep.gap <= 1e-7
         assert classify_ep(family, ep) is EPKind.DIRAC
 
     def test_conventional_ep(self, family):
@@ -111,42 +115,6 @@ class TestFindEP:
         )
         with pytest.raises(ValueError):
             find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
-
-
-# 50-digit references built from the closed-form characteristic polynomial
-# x^3 + b x^2 + c x + d of the NV family, without nhgeom.
-def reference_discriminant(q1, q2):
-    b = -6
-    c = 7 - 4 * q1 ** 2 + 2 * q2 ** 2
-    d = 6 * (1 - q2 ** 2)
-    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
-
-
-def reference_line_q2(q1):
-    """q2 of the exceptional line at q1, |q1| <= 0.9, to 50 digits.
-
-    The discriminant is positive (PT unbroken) at q2 = 1.05 and negative
-    (broken) at q2 = 2 for these q1; bisection finds its sign change.
-    """
-    with mpmath.workdps(50):
-        q1 = mpmath.mpf(q1)
-        lo, hi = mpmath.mpf("1.05"), mpmath.mpf(2)
-        assert reference_discriminant(q1, lo) > 0 > reference_discriminant(q1, hi)
-        while hi - lo > mpmath.mpf(10) ** -45:
-            mid = (lo + hi) / 2
-            if reference_discriminant(q1, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-
-def segment_through(center, angle, before, after):
-    u = (math.cos(angle), math.sin(angle))
-    return (
-        (center[0] - before * u[0], center[1] - before * u[1]),
-        (center[0] + after * u[0], center[1] + after * u[1]),
-    )
 
 
 def off_dirac(angle, offset):
