@@ -28,7 +28,7 @@ from .errors import NhgeomError
 from .geometry import grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import band_order, matrix_scale
 from .model import ParameterPoint, get_family
-from .jordan import classify_ep, jordan_chain, sqrt_coefficient
+from .jordan import _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
     closest_pair,
@@ -45,23 +45,15 @@ def fnum(x):
     return repr(float(x))
 
 
-def parse_floats(text, n=None, name="value"):
+def parse_numbers(text, n=None, name="value", kind=float):
+    """Comma-separated numbers of type `kind` (float or int), `n` of them if given."""
+    what = "floats" if kind is float else "integers"
     try:
-        vals = [float(v) for v in str(text).split(",") if v.strip() != ""]
+        vals = [kind(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"could not parse {name} {text!r} as floats")
+        raise click.UsageError(f"could not parse {name} {text!r} as {what}")
     if n is not None and len(vals) != n:
-        raise click.UsageError(f"{name} needs {n} comma-separated floats, got {text!r}")
-    return vals
-
-
-def parse_ints(text, n=None, name="value"):
-    try:
-        vals = [int(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
-        raise click.UsageError(f"could not parse {name} {text!r} as integers")
-    if n is not None and len(vals) != n:
-        raise click.UsageError(f"{name} needs {n} comma-separated integers, got {text!r}")
+        raise click.UsageError(f"{name} needs {n} comma-separated {what}, got {text!r}")
     return vals
 
 
@@ -252,15 +244,15 @@ def command(name, *options):
 )
 def cmd_spectrum_scan(family, out, fmt, box, resolution):
     """Eigenenergies and PT phase label on a (q1, q2) grid."""
-    q1min, q1max, q2min, q2max = parse_floats(box, 4, "--box")
-    nx, ny = parse_ints(resolution, 2, "--resolution")
+    q1min, q1max, q2min, q2max = parse_numbers(box, 4, "--box")
+    nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
     q2s, q1s = np.meshgrid(
         np.linspace(q2min, q2max, ny), np.linspace(q1min, q1max, nx), indexing="ij"
     )
+    h = family.matrices(q1s.ravel(), q2s.ravel())
     q1s, q2s = q1s.ravel().tolist(), q2s.ravel().tolist()
-    h = np.array([family.matrix(p) for p in zip(q1s, q2s)])
     w = np.linalg.eigvals(h)
     labels = [label.value for label in phase_of(w, matrix_scale(h)).label]
     w = np.take_along_axis(w, band_order(w), axis=-1)
@@ -283,11 +275,11 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
 )
 def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
-    boxv = parse_floats(box, 4, "--box")
-    nx, ny = parse_ints(resolution, 2, "--resolution")
+    boxv = parse_numbers(box, 4, "--box")
+    nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
     if nx < 2 or ny < 2:
         raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
-    dirv = parse_floats(direction, 2, "--direction")
+    dirv = parse_numbers(direction, 2, "--direction")
     cells = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
     return write_chi(out, fmt, ["q1", "q2"], cells)
 
@@ -301,8 +293,8 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
 )
 def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
-    q2lo, q2hi = parse_floats(q2_range, 2, "--q2-range")
-    dirv = parse_floats(direction, 2, "--direction")
+    q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
+    dirv = parse_numbers(direction, 2, "--direction")
     cells = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
     return write_chi(out, fmt, ["q1", "q2"], cells)
 
@@ -316,7 +308,7 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
 )
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
-    q2lo, q2hi = parse_floats(q2_range, 2, "--q2-range")
+    q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
     if delta <= 0:
         raise click.UsageError("--delta must be positive")
     cells = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
@@ -340,10 +332,10 @@ def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
 )
 def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     """Radial susceptibility versus polar angle around a center point."""
-    centerv = parse_floats(center, 2, "--center")
-    radiiv = parse_floats(radii, None, "--radii")
+    centerv = parse_numbers(center, 2, "--center")
+    radiiv = parse_numbers(radii, None, "--radii")
     if angles is not None:
-        anglesv = parse_floats(angles, None, "--angles")
+        anglesv = parse_numbers(angles, None, "--angles")
     else:
         anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
     if not radiiv:
@@ -360,7 +352,7 @@ def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
 )
 def cmd_ep_locate(family, out, fmt, segment):
     """Locate and classify an exceptional point on a parameter segment."""
-    a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
+    a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
     ep = find_ep_on_segment(family, (a1, a2), (b1, b2))
     try:
         kind = classify_ep(family, ep)
@@ -399,8 +391,8 @@ def cmd_ep_locate(family, out, fmt, segment):
 )
 def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
-    a1, a2, b1, b2 = parse_floats(segment, 4, "--segment")
-    boxv = parse_floats(box, 4, "--box")
+    a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
+    boxv = parse_numbers(box, 4, "--box")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
     rows = [
@@ -424,10 +416,10 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
 )
 def cmd_jordan(family, out, point, energy, n_angles):
     """Jordan chain and dispersion diagnostics at a degenerate point."""
-    q1, q2 = parse_floats(point, 2, "--point")
+    q1, q2 = parse_numbers(point, 2, "--point")
     h = family.matrix((q1, q2))
     if energy is not None:
-        parts = parse_floats(energy, None, "--energy")
+        parts = parse_numbers(energy, None, "--energy")
         if len(parts) not in (1, 2):
             raise click.UsageError("--energy takes 're' or 're,im'")
         ev = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
@@ -437,7 +429,7 @@ def cmd_jordan(family, out, point, energy, n_angles):
         ev = complex((w[i] + w[j]) / 2)
     chain = jordan_chain(h, ev)
     ep = ep_at(family, ParameterPoint(q1, q2), ev)
-    diags = [sqrt_coefficient(family, ep, 2 * math.pi * k / n_angles) for k in range(n_angles)]
+    diags = [_dispersion(family, ep, chain, 2 * math.pi * k / n_angles) for k in range(n_angles)]
     kind = classify_ep(family, ep, angle_samples=n_angles)
     return write_record(out, {
         "point": [q1, q2],

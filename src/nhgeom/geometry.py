@@ -194,7 +194,7 @@ def susceptibility(family, band, p, direction):
     """
     p = as_point(p)
     direction = unit(direction)
-    (value, error), = _sum_over_states(family, band, [p], [direction])
+    (value, error), = _sum_over_states(family, band, *p, *direction)
     if value is None:
         raise NormalizationBreakdownError(
             f"band {band} at {p} is within tolerance of an EP"
@@ -204,19 +204,18 @@ def susceptibility(family, band, p, direction):
     )
 
 
-def _sum_over_states(family, band, points, directions):
-    """[(chi, error_estimate)] of `band` at each point along its unit direction.
+def _sum_over_states(family, band, q1, q2, n1, n2):
+    """[(chi, error_estimate)] of `band` at each point (q1, q2) along (n1, n2).
 
-    One stacked eigendecomposition serves every point.  A point where
-    normalization breaks down, or where `band` is flagged, gives
-    (None, None); the others follow `susceptibility`.
+    q1 and q2 are floats (one point) or equal-length 1-D arrays; (n1, n2)
+    is one unit direction (floats) for every point, or one per point
+    ((N, 1, 1) arrays).  One stacked eigendecomposition serves every point.
+    A point where normalization breaks down, or where `band` is flagged,
+    gives (None, None); the others follow `susceptibility`.
     """
-    if not points:
-        return []
-    h = np.array([family.matrix(p) for p in points])
-    grads = [family.gradient(p) for p in points]
-    n1, n2 = (np.array(c)[:, None, None] for c in zip(*directions))
-    dh = n1 * np.array([g[0] for g in grads]) + n2 * np.array([g[1] for g in grads])
+    h = family.matrices(q1, q2).reshape(-1, family.dimension, family.dimension)
+    d1, d2 = family.gradient(ParameterPoint(q1, q2))
+    dh = (n1 * d1 + n2 * d2).reshape(h.shape)
     system = eigendecompose(h)
     n = band_index(band, system.dim)
     ok = np.flatnonzero(~(system.breakdown | system.condition_flags[:, n]))
@@ -234,7 +233,7 @@ def _sum_over_states(family, band, points, directions):
     kappa = norm(lefts, -1).max(axis=-1)
     gap = np.abs(gaps).min(axis=1)
     bound = SOS_ERROR_FACTOR * matrix_scale(h[ok]) * kappa ** 2 / gap
-    out = [(None, None)] * len(points)
+    out = [(None, None)] * len(h)
     for k, chi, err in zip(ok.tolist(), value.tolist(), (bound * weight).tolist()):
         out[k] = (chi, err)
     return out
@@ -258,9 +257,9 @@ CELL_STATUS = {
 }
 
 
-def _chi_cells(family, band, coords, points, directions):
+def _chi_cells(family, band, coords, q1, q2, n1, n2):
     """ScanCells of one batched sum-over-states call; EP cells are ep_breakdown."""
-    results = _sum_over_states(family, band, points, directions)
+    results = _sum_over_states(family, band, q1, q2, n1, n2)
     return [
         ScanCell(c, band, STATUS_EP_BREAKDOWN if value is None else STATUS_OK, value, err)
         for c, (value, err) in zip(coords, results)
@@ -277,18 +276,18 @@ def grid_scan(family, box, resolution, band, direction):
     if nx < 2 or ny < 2:
         raise ValueError(f"grid resolution must be at least 2x2, got {resolution}")
     q1min, q1max, q2min, q2max = box
-    q1s = np.linspace(q1min, q1max, nx)
-    q2s = np.linspace(q2min, q2max, ny)
-    coords = [(q1, q2) for q2 in q2s for q1 in q1s]
-    points = [ParameterPoint(float(q1), float(q2)) for q1, q2 in coords]
-    return _chi_cells(family, band, coords, points, [unit(direction)] * len(points))
+    q1 = np.tile(np.linspace(q1min, q1max, nx), ny)
+    q2 = np.repeat(np.linspace(q2min, q2max, ny), nx)
+    coords = list(zip(q1.tolist(), q2.tolist()))
+    return _chi_cells(family, band, coords, q1, q2, *unit(direction))
 
 
 def line_scan(family, q1, q2_values, band, direction):
     """Susceptibility at (q1, q2) for each q2 in `q2_values`, in order."""
-    coords = [(q1, q2) for q2 in q2_values]
-    points = [as_point(c) for c in coords]
-    return _chi_cells(family, band, coords, points, [unit(direction)] * len(points))
+    q2 = np.asarray(q2_values, dtype=float).ravel()
+    q1 = np.full(q2.shape, float(q1))
+    coords = list(zip(q1.tolist(), q2.tolist()))
+    return _chi_cells(family, band, coords, q1, q2, *unit(direction))
 
 
 def polar_sweep(family, center, radii, angles, band):
@@ -306,12 +305,10 @@ def polar_sweep(family, center, radii, angles, band):
     if not all(r > 0 for r in radii):
         raise ValueError(f"all radii must be positive; got {radii}")
     coords = [(r, phi) for r in radii for phi in angles]
-    points = [
-        ParameterPoint(center.q1 + r * math.cos(phi), center.q2 + r * math.sin(phi))
-        for r, phi in coords
-    ]
-    directions = [unit((-math.cos(phi), -math.sin(phi))) for _, phi in coords]
-    return _chi_cells(family, band, coords, points, directions)
+    q1 = np.array([center.q1 + r * math.cos(phi) for r, phi in coords])
+    q2 = np.array([center.q2 + r * math.sin(phi) for r, phi in coords])
+    n1, n2 = np.array([unit((-math.cos(phi), -math.sin(phi))) for _, phi in coords]).T
+    return _chi_cells(family, band, coords, q1, q2, n1[:, None, None], n2[:, None, None])
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):

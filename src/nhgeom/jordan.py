@@ -152,10 +152,10 @@ def a_coefficient(chain, dh):
 def _ring(family, center, radii, angles):
     """H at center + r (cos phi, sin phi) for each pair (r, phi), stacked."""
     q1, q2 = as_point(center)
-    return np.array([
-        family.matrix((q1 + r * math.cos(phi), q2 + r * math.sin(phi)))
-        for r, phi in zip(radii, angles)
-    ])
+    return family.matrices(
+        [q1 + r * math.cos(phi) for r, phi in zip(radii, angles)],
+        [q2 + r * math.sin(phi) for r, phi in zip(radii, angles)],
+    )
 
 
 def _fit_splitting(radii, values):
@@ -177,7 +177,11 @@ def sqrt_coefficient(family, ep, phi):
     by its value at the largest radius.  A per-direction diagnostic:
     `classify_ep` reads the chain elements alone.
     """
-    chain = jordan_chain(family.matrix(ep.point), ep.coalesced_energy)
+    return _dispersion(family, ep, jordan_chain(family.matrix(ep.point), ep.coalesced_energy), phi)
+
+
+def _dispersion(family, ep, chain, phi):
+    """`sqrt_coefficient` at `ep` along `phi`, from its Jordan chain `chain`."""
     dh = family.directional_derivative(ep.point, phi)
     a_val = a_coefficient(chain, dh)
     predicted = 2.0 * cmath.sqrt(a_val)

@@ -21,6 +21,8 @@ from .errors import NonFiniteError
 
 
 class ParameterPoint(NamedTuple):
+    """A point (q1, q2), or a stack of points as two equal-shape arrays."""
+
     q1: float
     q2: float
 
@@ -32,12 +34,26 @@ def as_point(p):
     return pt
 
 
+def as_points(p):
+    """`p` as a ParameterPoint of finite floats or of equal-shape float arrays."""
+    if isinstance(p[0], (int, float)) and isinstance(p[1], (int, float)):
+        return as_point(p)
+    q1, q2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
+    if q1.shape != q2.shape:
+        raise ValueError(f"q1 and q2 differ in shape: {q1.shape} != {q2.shape}")
+    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        raise NonFiniteError(f"non-finite entry in a stack of {q1.size} parameter points")
+    return ParameterPoint(q1, q2)
+
+
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A two-parameter matrix family with analytic parameter derivatives.
 
     `builder(p)` returns H(p); `gradient(p)` returns the pair
-    (dH/dq1, dH/dq2) evaluated at p.
+    (dH/dq1, dH/dq2) evaluated at p.  Both broadcast: `p` holds two floats
+    or two equal-shape float arrays, and the matrices come back with that
+    shape in front, as (..., n, n).  `p` arrives checked finite.
     """
 
     name: str
@@ -48,23 +64,29 @@ class HamiltonianFamily:
     def matrix(self, p):
         return self.builder(as_point(p))
 
+    def matrices(self, q1, q2):
+        """H at each point (q1[k], q2[k]) of equal-shape finite arrays: (..., n, n)."""
+        return self.builder(as_points((q1, q2)))
+
     def directional_derivative(self, p, phi):
         """Unit-step derivative cos(phi) dH/dq1 + sin(phi) dH/dq2 at p."""
         d1, d2 = self.gradient(as_point(p))
         return math.cos(phi) * d1 + math.sin(phi) * d2
 
 
+def _nv_matrix(p):
+    q1, q2 = p
+    z = 0.0 * q1 + 0.0  # 0.0 * q1 alone is -0.0 for negative q1
+    h = np.array([[3 + 2 * q1, 1 - q2, z], [1 + q2, z, 1 - q2], [z, 1 + q2, 3 - 2 * q1]],
+                 dtype=complex)
+    # A stack in C order sums each matrix in the same order as one matrix.
+    return h if h.ndim == 2 else np.ascontiguousarray(np.moveaxis(h, (0, 1), (-2, -1)))
+
+
 def nv_hamiltonian(p):
-    """H(q1, q2) of the NV model; closed form of the spin-operator expression."""
-    q1, q2 = as_point(p)
-    return np.array(
-        [
-            [3 + 2 * q1, 1 - q2, 0],
-            [1 + q2, 0, 1 - q2],
-            [0, 1 + q2, 3 - 2 * q1],
-        ],
-        dtype=complex,
-    )
+    """H(q1, q2) of the NV model, at one point or a stack; closed form of the
+    spin-operator expression."""
+    return _nv_matrix(as_points(p))
 
 
 # dH/dq1 = 2 Sz, dH/dq2 = -i sqrt(2) Sy; both constant in (q1, q2).
@@ -72,18 +94,17 @@ _NV_DQ1 = np.diag([2.0, 0.0, -2.0]).astype(complex)
 _NV_DQ2 = np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex)
 
 
+def _nv_gradient(p):
+    shape = getattr(p[0], "shape", ()) + _NV_DQ1.shape
+    return np.full(shape, _NV_DQ1), np.full(shape, _NV_DQ2)
+
+
 def nv_gradient(p):
-    as_point(p)
-    return _NV_DQ1.copy(), _NV_DQ2.copy()
+    return _nv_gradient(as_points(p))
 
 
 def nv_family():
-    return HamiltonianFamily(
-        name="nv-dirac",
-        dimension=3,
-        builder=nv_hamiltonian,
-        gradient=nv_gradient,
-    )
+    return HamiltonianFamily("nv-dirac", 3, builder=_nv_matrix, gradient=_nv_gradient)
 
 
 _FAMILIES = {"nv-dirac": nv_family}

@@ -29,6 +29,9 @@ NEAR_EP_GAP_TOL = 1e-8  # relative: min gap below this means "at an EP"
 # coefficients above DISC_DEGREE measure the fit's round-off.
 DISC_DEGREE = 6
 _NODES = cheb.chebpts1(2 * DISC_DEGREE + 1)
+# The interpolant's coefficients are _VANDER_T @ values * (2 / len(_NODES)),
+# by the discrete orthogonality of the Chebyshev polynomials at the nodes.
+_VANDER_T = cheb.chebvander(_NODES, 2 * DISC_DEGREE).T
 # A stationary point of the discriminant is a touching zero when |disc|
 # there is within this many noise bounds.  Measured on the NV family over
 # 3,000 segments through the Dirac EP, true touches reach 2.24 bounds;
@@ -115,22 +118,24 @@ def discriminant(family, p):
     """Discriminant of the cubic characteristic polynomial of H(p).
 
     Coefficients are extracted from traces via Newton's identities; the
-    result vanishes exactly at spectral degeneracies.
+    result vanishes exactly at spectral degeneracies.  Raises ValueError
+    for a family that is not 3x3.
     """
-    h = family.matrix(p)
-    if h.shape[0] != 3:
-        raise ValueError("discriminant requires a 3x3 family")
-    p1 = np.trace(h)
-    p2 = np.trace(h @ h)
-    p3 = np.trace(h @ h @ h)
-    e1 = p1
+    return complex(_discriminant(family, *as_point(p)))
+
+
+def _discriminant(family, q1, q2):
+    """`discriminant` at each point (q1[k], q2[k]) of equal-shape arrays."""
+    if family.dimension != 3:
+        raise ValueError(f"discriminant requires a 3x3 family, not {family.name!r}")
+    h = family.matrices(q1, q2)
+    hh = h @ h
+    p1, p2, p3 = (np.trace(m, axis1=-2, axis2=-1) for m in (h, hh, hh @ h))
     e2 = (p1 * p1 - p2) / 2
     e3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6
     # monic cubic x^3 + b x^2 + c x + d
-    b, c, d = -e1, e2, -e3
-    return complex(
-        18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
-    )
+    b, c, d = -p1, e2, -e3
+    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
 
 
 def ep_at(family, p, energy):
@@ -170,14 +175,12 @@ def find_ep_on_segment(family, a, b):
     """
     a, b = as_point(a), as_point(b)
 
-    def point_at(x):  # x in [-1, 1] maps to a -> b
+    def point_at(x):  # x in [-1, 1] (or an array of such) maps to a -> b
         t = (1 + x) / 2
         return ParameterPoint(a.q1 + t * (b.q1 - a.q1), a.q2 + t * (b.q2 - a.q2))
 
-    values = np.array([discriminant(family, point_at(x)) for x in _NODES])
-    # Interpolant coefficients, by the discrete orthogonality of the
-    # Chebyshev polynomials at these nodes.
-    coef = cheb.chebvander(_NODES, len(_NODES) - 1).T @ values * (2 / len(_NODES))
+    values = _discriminant(family, *point_at(_NODES))
+    coef = _VANDER_T @ values * (2 / len(_NODES))
     coef[0] /= 2
     noise = float(np.abs(coef[DISC_DEGREE + 1:]).sum() + np.abs(values.imag).max())
     p = coef[:DISC_DEGREE + 1].real

@@ -54,6 +54,18 @@ def nv_axis_chi_band0(q2):
     )
 
 
+def stacked(rows, p):
+    """The complex matrix of `rows` at p, broadcast as family builders must be.
+
+    Each entry is a number or an array of the shape of p.q1; the matrix
+    comes back with that shape in front, as (..., n, n).
+    """
+    shape = np.shape(p.q1)
+    return np.stack(
+        [np.stack([np.broadcast_to(e, shape) for e in row], -1) for row in rows], -2
+    ).astype(complex)
+
+
 def sorted_complex(w):
     """Lexicographic (Re, Im) sort for multiset comparison of spectra.
 

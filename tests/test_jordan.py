@@ -1,8 +1,10 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from nhgeom import (
     DimensionMismatchError,
@@ -18,11 +20,11 @@ from nhgeom import (
     nv_gradient,
     sqrt_coefficient,
 )
-from nhgeom import jordan
+from nhgeom import cli, jordan
 from nhgeom.jordan import DIRAC_CHAIN_AMP_TOL, JordanChain
 from nhgeom.spectral import EPLocation, ep_at
 
-from conftest import reference_double_root, reference_line_q2, segment_through
+from conftest import reference_double_root, reference_line_q2, segment_through, stacked
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 
@@ -149,6 +151,34 @@ class TestSqrtCoefficient:
         assert diag.splitting_fit[0] == pytest.approx(fd_slope, rel=1e-2)
         assert fd_slope == pytest.approx(4.0, rel=1e-6)
 
+    def test_jordan_command_builds_one_chain_for_its_diagnostics(
+        self, family, tmp_path, monkeypatch
+    ):
+        calls = Counter()
+        inner = jordan.jordan_chain
+
+        def counted(*args, **kwargs):
+            calls["jordan_chain"] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(jordan, "jordan_chain", counted)
+        monkeypatch.setattr(cli, "jordan_chain", counted)
+        out = tmp_path / "chain.json"
+        result = CliRunner().invoke(cli.main, ["jordan", "--point", "0,1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        # One chain for the command's record and its 8 diagnostics, one for
+        # classify_ep.
+        assert calls["jordan_chain"] == 2
+        record = json.loads(out.read_text())
+        ep = ep_at(family, ParameterPoint(0.0, 1.0), complex(*record["energy"]))
+        assert len(record["dispersion"]) == 8
+        for k, row in enumerate(record["dispersion"]):
+            diag = sqrt_coefficient(family, ep, 2 * math.pi * k / 8)
+            assert row["angle"] == diag.angle
+            assert complex(*row["a_coefficient"]) == diag.a_coefficient
+            assert row["sqrt_amplitude"] == diag.splitting_fit[1]
+            assert row["normalized_sqrt_amplitude"] == diag.normalized_sqrt_amplitude
+
 
 class TestClassifyEP:
     def test_dirac(self, family, dirac_ep):
@@ -161,7 +191,7 @@ class TestClassifyEP:
         pseudo = HamiltonianFamily(
             name="pseudo",
             dimension=3,
-            builder=lambda p: np.diag([3.0, 3.0, 0.0]).astype(complex),
+            builder=lambda p: stacked([[3, 0, 0], [0, 3, 0], [0, 0, 0]], p),
             gradient=lambda p: nv_gradient(p),
         )
         ep = EPLocation(
@@ -241,12 +271,10 @@ class TestChainAmplitudeClassifier:
         cone = HamiltonianFamily(
             name="imaginary-cone",
             dimension=2,
-            builder=lambda p: np.array(
-                [[0, 1], [-(p.q1 ** 2 + p.q2 ** 2), 0]], dtype=complex
-            ),
+            builder=lambda p: stacked([[0, 1], [-(p.q1 ** 2 + p.q2 ** 2), 0]], p),
             gradient=lambda p: (
-                np.array([[0, 0], [-2 * p.q1, 0]], dtype=complex),
-                np.array([[0, 0], [-2 * p.q2, 0]], dtype=complex),
+                stacked([[0, 0], [-2 * p.q1, 0]], p),
+                stacked([[0, 0], [-2 * p.q2, 0]], p),
             ),
         )
         ep = ep_at(cone, ParameterPoint(0.0, 0.0), 0j)
@@ -262,12 +290,12 @@ class TestChainAmplitudeClassifier:
         ellipse = HamiltonianFamily(
             name="small-ellipse",
             dimension=2,
-            builder=lambda p: np.array(
-                [[p.q1, 1], [p.q1 ** 2 + p.q2 ** 2 + eps * p.q1, -p.q1]], dtype=complex
+            builder=lambda p: stacked(
+                [[p.q1, 1], [p.q1 ** 2 + p.q2 ** 2 + eps * p.q1, -p.q1]], p
             ),
             gradient=lambda p: (
-                np.array([[1, 0], [eps + 2 * p.q1, -1]], dtype=complex),
-                np.array([[0, 0], [2 * p.q2, 0]], dtype=complex),
+                stacked([[1, 0], [eps + 2 * p.q1, -1]], p),
+                stacked([[0, 0], [2 * p.q2, 0]], p),
             ),
         )
         ep = ep_at(ellipse, ParameterPoint(0.0, 0.0), 0j)

@@ -3,8 +3,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nhgeom import NonFiniteError, get_family, nv_gradient, nv_hamiltonian
+from nhgeom import NonFiniteError, get_family, matrix_scale, nv_gradient, nv_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,74 @@ class TestHamiltonian:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):
             nv_hamiltonian((np.nan, 0.0))
+
+
+# Coordinates with signed zeros, subnormals and magnitudes up to 1e8.
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(-1e8, 1e8, allow_nan=False),
+)
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5)
+
+
+def coordinate_stacks(data):
+    shape = data.draw(SHAPES)
+    return tuple(data.draw(hnp.arrays(np.float64, shape, elements=COORDS)) for _ in "12")
+
+
+class TestStackedBuilder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stack_is_pointwise_and_matches_operators(self, family, data):
+        q1, q2 = coordinate_stacks(data)
+        stack = family.matrices(q1, q2)
+        assert stack.shape == q1.shape + (3, 3)
+        assert nv_hamiltonian((q1, q2)).tobytes() == stack.tobytes()
+        # Sums over each matrix of the stack add in the one-matrix order.
+        scales = matrix_scale(stack)
+        for k in np.ndindex(q1.shape):
+            one = family.matrix((q1[k], q2[k]))
+            assert stack[k].tobytes() == one.tobytes()
+            assert scales[k] == matrix_scale(one)
+            ref = nv_hamiltonian_from_operators((float(q1[k]), float(q2[k])))
+            scale = max(1.0, abs(q1[k]), abs(q2[k]))
+            assert np.max(np.abs(one - ref)) <= 1e-14 * scale
+
+    def test_zero_entries_are_positive_zeros(self, family):
+        # 0.0 * q1 is -0.0 for negative q1; the structural zeros must not be.
+        q1 = np.array([-1.5, -0.0, -5e-324, 2.0])
+        q2 = np.array([-0.0, 1.0, -3.0, -1e8])
+        zeros = ([0, 1, 2], [2, 1, 0])
+        for h in [family.matrices(q1, q2)] + [
+            family.matrix(p)[None] for p in zip(q1.tolist(), q2.tolist())
+        ]:
+            parts = np.stack([h.real, h.imag])[..., zeros[0], zeros[1]]
+            assert not np.any(parts) and not np.any(np.signbit(parts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from([0, 1]))
+    def test_nonfinite_entry_anywhere_raises(self, family, data, bad, which):
+        q = list(coordinate_stacks(data))
+        k = data.draw(st.sampled_from(list(np.ndindex(q[0].shape))))
+        q[which][k] = bad
+        with pytest.raises(NonFiniteError):
+            nv_hamiltonian(tuple(q))
+        with pytest.raises(NonFiniteError):
+            family.matrices(*q)
+        with pytest.raises(NonFiniteError):
+            family.matrix((q[0][k], q[1][k]))
+
+    def test_shape_mismatch_rejected(self, family):
+        with pytest.raises(ValueError):
+            family.matrices(np.zeros(3), np.zeros(4))
+
+    def test_gradient_broadcasts(self, family):
+        q1, q2 = np.zeros((2, 3)), np.ones((2, 3))
+        d1, d2 = nv_gradient((q1, q2))
+        one = nv_gradient((0.0, 1.0))
+        assert d1.shape == d2.shape == (2, 3, 3, 3)
+        assert np.array_equal(d1, np.broadcast_to(one[0], d1.shape))
+        assert np.array_equal(d2, np.broadcast_to(one[1], d2.shape))
 
 
 class TestGradient:

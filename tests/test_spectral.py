@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,16 @@ from nhgeom import (
     find_ep_on_segment,
     trace_exceptional_line,
 )
+from nhgeom import spectral
 from nhgeom.spectral import closest_pair, min_gap
 
 from conftest import (
     nv_axis_energies,
+    reference_discriminant,
     reference_line_q2,
     segment_through,
     sorted_complex,
+    stacked,
 )
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
@@ -62,6 +67,50 @@ class TestDiscriminant:
             w = np.linalg.eigvals(family.matrix(p))
             prod = ((w[0] - w[1]) * (w[0] - w[2]) * (w[1] - w[2])) ** 2
             assert discriminant(family, p) == pytest.approx(prod, rel=1e-7, abs=1e-9)
+
+
+class TestStackedDiscriminant:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=13))
+    def test_stack_is_the_one_point_case_and_matches_closed_form(self, family, points):
+        q1, q2 = np.array(points).T
+        stack = spectral._discriminant(family, q1, q2)
+        assert stack.shape == q1.shape
+        for k, (a, b) in enumerate(points):
+            assert stack[k].tobytes() == np.complex128(discriminant(family, (a, b))).tobytes()
+            with mpmath.workdps(50):
+                ref = reference_discriminant(mpmath.mpf(a), mpmath.mpf(b))
+            # Rounding of the traces and of the cubic's terms scales as
+            # ||H||_F^6; 2 eps of it was the worst seen over 1,800 points
+            # with |q| from 1e-3 to 1e8.
+            frob2 = 22 + 8 * a * a + 4 * b * b
+            assert abs(stack[k] - complex(ref)) <= 64 * np.finfo(float).eps * frob2 ** 3
+
+    def test_dimension_is_checked_before_building(self):
+        def unbuildable(p):
+            raise AssertionError("the family was built")
+
+        dimer = HamiltonianFamily("pt-dimer", 2, unbuildable, unbuildable)
+        with pytest.raises(ValueError):
+            discriminant(dimer, (1.0, 0.5))
+        with pytest.raises(ValueError):
+            find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
+
+    def test_locator_builds_its_nodes_in_one_stack(self, family, monkeypatch):
+        calls = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            HamiltonianFamily, "matrices", counted("matrices", HamiltonianFamily.matrices)
+        )
+        monkeypatch.setattr(spectral, "discriminant", counted("discriminant", discriminant))
+        find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
+        assert calls == {"matrices": 1}
 
 
 class TestFindEP:
@@ -110,8 +159,10 @@ class TestFindEP:
         dimer = HamiltonianFamily(
             name="pt-dimer",
             dimension=2,
-            builder=lambda p: np.array([[1j * p.q2, p.q1], [p.q1, -1j * p.q2]]),
-            gradient=lambda p: (np.array([[0, 1], [1, 0]]), np.diag([1j, -1j])),
+            builder=lambda p: stacked([[1j * p.q2, p.q1], [p.q1, -1j * p.q2]], p),
+            gradient=lambda p: (
+                stacked([[0, 1], [1, 0]], p), stacked([[1j, 0], [0, -1j]], p)
+            ),
         )
         with pytest.raises(ValueError):
             find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
