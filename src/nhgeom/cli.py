@@ -309,8 +309,8 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
     q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
-    if delta <= 0:
-        raise click.UsageError("--delta must be positive")
+    if not 0 < delta < math.inf:
+        raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     cells = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
     rows = []
     for c in cells:
@@ -393,6 +393,8 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
     a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
     boxv = parse_numbers(box, 4, "--box")
+    if not (math.isfinite(step) and step != 0):
+        raise click.UsageError(f"--step must be finite and nonzero, got {step}")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
     rows = [
@@ -430,7 +432,7 @@ def cmd_jordan(family, out, point, energy, n_angles):
     chain = jordan_chain(h, ev)
     ep = ep_at(family, ParameterPoint(q1, q2), ev)
     diags = [_dispersion(family, ep, chain, 2 * math.pi * k / n_angles) for k in range(n_angles)]
-    kind = classify_ep(family, ep, angle_samples=n_angles)
+    kind = classify_ep(family, ep)
     return write_record(out, {
         "point": [q1, q2],
         "energy": [ev.real, ev.imag],

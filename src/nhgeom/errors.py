@@ -28,10 +28,6 @@ class NormalizationBreakdownError(NhgeomError):
 class BandAmbiguityError(NhgeomError):
     """Band matching between two eigensystems is not uniquely resolvable."""
 
-    def __init__(self, message, candidates=None):
-        super().__init__(message)
-        self.candidates = candidates
-
 
 class EPNotFoundError(NhgeomError):
     """No exceptional point was found on the searched segment."""

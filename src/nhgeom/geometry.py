@@ -4,9 +4,10 @@ The fidelity between neighboring parameter points is the complex product
 of the two cross overlaps of biorthogonally normalized eigenvectors; the
 susceptibility is its quadratic coefficient, evaluated exactly by the
 biorthogonal sum over states from one eigensystem and the analytic
-parameter gradient.  Grid, polar, and boundary-straddling sweeps wrap
-these primitives with an explicit per-cell status so that the singular set
-shows up as data rather than as silently dropped points.
+parameter gradient.  Each has one stacked kernel that returns a status
+per point; the grid, line, polar and straddle sweeps keep every status as
+a ScanCell, so the singular set shows up as data, and `fidelity` and
+`susceptibility`, the one-point cases, raise STATUS_ERRORS for it.
 """
 
 import math
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import BandAmbiguityError, NormalizationBreakdownError
 from .linalg import eigendecompose, matrix_scale, norm
 from .model import ParameterPoint, as_point
-from .spectral import phase_of
 
 # Prefactor of the susceptibility's conditioning bound, 16 machine epsilons;
 # see `susceptibility`.
@@ -27,6 +27,12 @@ SOS_ERROR_FACTOR = 16 * np.finfo(float).eps
 STATUS_OK = "ok"
 STATUS_EP_BREAKDOWN = "ep_breakdown"
 STATUS_BAND_AMBIGUOUS = "band_ambiguous"
+
+# The error a one-point call raises for each non-ok status of its kernel.
+STATUS_ERRORS = {
+    STATUS_EP_BREAKDOWN: NormalizationBreakdownError,
+    STATUS_BAND_AMBIGUOUS: BandAmbiguityError,
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class Displacement:
 
     def __post_init__(self):
         n1, n2 = self.direction
-        if abs(n1 * n1 + n2 * n2 - 1.0) > 1e-12:
+        if not abs(n1 * n1 + n2 * n2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"direction {self.direction} is not a unit vector")
         if not (self.magnitude >= 0 and math.isfinite(self.magnitude)):
             raise ValueError(f"bad displacement magnitude {self.magnitude}")
@@ -56,6 +62,8 @@ def unit(v):
     norm = math.hypot(n1, n2)
     if norm == 0:
         raise ValueError("zero direction vector")
+    if not norm < math.inf:
+        raise ValueError(f"non-finite direction vector {(n1, n2)}")
     return (n1 / norm, n2 / norm)
 
 
@@ -64,7 +72,6 @@ class FidelityResult:
     value: complex
     band: int
     endpoints: tuple
-    phase_labels: tuple
 
 
 @dataclass(frozen=True)
@@ -83,51 +90,32 @@ def band_index(band, dim):
     return dim // 2 - band
 
 
-def _check_band_flag(system, idx, where):
-    if system.condition_flags[idx]:
-        raise NormalizationBreakdownError(
-            f"band {idx} at {where} is within degeneracy tolerance of an EP"
-        )
-
-
-def _match_displaced_band(ref_sys, idx, disp_sys):
-    """Index of the displaced band continuing band `idx` of `ref_sys`.
-
-    Maximal |<L_idx | R_j>| wins; near-ties are broken by smaller |Im E|,
-    then by larger Im E (conjugate pairs), then by index.
-    """
-    ov = np.abs(ref_sys.lefts[idx] @ disp_sys.rights)
-    w = disp_sys.energies
-    # Overlaps are compared at 10 significant digits so that the exact
-    # conjugate-pair degeneracy across the PT boundary becomes a true tie,
-    # resolved toward smaller |Im E| and then toward the +Im branch.
-    ovmax = max(float(np.max(ov)), 1e-300)
-    order = sorted(
-        range(len(ov)),
-        key=lambda j: (-round(ov[j] / ovmax, 10), abs(w[j].imag), -w[j].imag, j),
-    )
-    top, second = order[0], order[1] if len(order) > 1 else order[0]
-    if (
-        top != second
-        and abs(ov[top] - ov[second]) <= 1e-9 * max(ov[top], 1e-300)
-        and abs(abs(w[top].imag) - abs(w[second].imag)) <= 1e-12
-        and abs(w[top].imag - w[second].imag) <= 1e-12
-    ):
-        raise BandAmbiguityError(
-            f"bands {top} and {second} have indistinguishable continuation "
-            f"overlaps {ov[top]:.6e} / {ov[second]:.6e}",
-            candidates=(top, second),
-        )
-    return top
+def _one_point(results, band, where):
+    """(value, error) of a kernel's only result; raises for a non-ok status."""
+    (status, value, error), = results
+    if status != STATUS_OK:
+        raise STATUS_ERRORS[status](f"band {band} at {where}: {status}")
+    return value, error
 
 
 def fidelity_from_systems(ref_sys, disp_sys, idx, disp_idx):
-    """Gauge-invariant cross-overlap product between two eigensystems."""
-    l_ref = ref_sys.lefts[idx]
-    r_ref = ref_sys.rights[:, idx]
-    l_disp = disp_sys.lefts[disp_idx]
-    r_disp = disp_sys.rights[:, disp_idx]
-    return complex((l_disp @ r_ref) * (l_ref @ r_disp))
+    """Gauge-invariant cross-overlap product <L'|R><L|R'> of two eigensystems.
+
+    Band `idx` of `ref_sys` against band `disp_idx` of `disp_sys`: a
+    complex for two systems, a list for two stacks (with an integer or one
+    index per system).  The overlaps are multiplied as Python complexes, as
+    numpy's array product can differ in the last bit from the scalar one.
+    """
+    one = ref_sys.lefts.ndim == 2
+    lefts, rights, disp_lefts, disp_rights = (
+        x[None] if one else x
+        for x in (ref_sys.lefts, ref_sys.rights, disp_sys.lefts, disp_sys.rights)
+    )
+    k = np.arange(len(lefts))
+    a = disp_lefts[k, disp_idx][:, None] @ rights[k, :, idx][..., None]
+    b = lefts[k, idx][:, None] @ disp_rights[k, :, disp_idx][..., None]
+    values = [x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return values[0] if one else values
 
 
 def fidelity(family, band, p, d):
@@ -136,37 +124,59 @@ def fidelity(family, band, p, d):
     F(p, p) is exactly 1 by construction.  Raises
     NormalizationBreakdownError when either endpoint sits on an EP of the
     involved bands, BandAmbiguityError when the continuation of the band
-    to the displaced point is not unique.
+    to the displaced point is not unique.  This is the one-point case of
+    the straddle sweep's kernel, bit for bit.
     """
     p = as_point(p)
     p2 = d.applied_to(p)
-    h1 = family.matrix(p)
-    sys1 = eigendecompose(h1)
-    idx = band_index(band, sys1.dim)
-    _check_band_flag(sys1, idx, p)
-    label1 = phase_of(sys1.energies, matrix_scale(h1))
+    value, _ = _one_point(_fidelities(family, band, *p, *p2), band, f"{p} -> {p2}")
+    return FidelityResult(value=value, band=band, endpoints=(p, p2))
 
-    if d.magnitude == 0.0:
-        return FidelityResult(
-            value=1.0 + 0.0j,
-            band=band,
-            endpoints=(p, p2),
-            phase_labels=(label1, label1),
-        )
 
-    h2 = family.matrix(p2)
-    sys2 = eigendecompose(h2)
-    label2 = phase_of(sys2.energies, matrix_scale(h2))
-    disp_idx = _match_displaced_band(sys1, idx, sys2)
-    _check_band_flag(sys2, disp_idx, p2)
+def _fidelities(family, band, q1, q2, q1b, q2b):
+    """[(status, F, error)] of `band` from each point (q1, q2) to (q1b, q2b).
 
-    value = fidelity_from_systems(sys1, sys2, idx, disp_idx)
-    return FidelityResult(
-        value=value,
-        band=band,
-        endpoints=(p, p2),
-        phase_labels=(label1, label2),
+    The coordinates are floats or equal-length 1-D arrays; one stacked
+    eigendecomposition serves each end.  The displaced band is the one of
+    maximal |<L_band|R_j>|, overlaps compared at 10 significant digits so
+    that the exact conjugate-pair degeneracy across the PT boundary is a
+    true tie, resolved toward smaller |Im E|, then +Im E, then lower index.
+    In order of precedence a pair is ep_breakdown if the reference end
+    breaks down or flags the band, ok with F = 1 if the points are equal,
+    ep_breakdown if the displaced end breaks down, band_ambiguous if its
+    two best candidates agree to 1e-9 in overlap and 1e-12 in Im E,
+    ep_breakdown if it flags the matched band, and else ok, with error 0.
+    """
+    n = family.dimension
+    idx = band_index(band, n)
+    ref = eigendecompose(family.matrices(q1, q2).reshape(-1, n, n))
+    disp = eigendecompose(family.matrices(q1b, q2b).reshape(-1, n, n))
+    ov = np.abs(ref.lefts[:, None, idx] @ disp.rights)[:, 0]
+    im = disp.energies.imag
+    ovmax = np.maximum(ov.max(axis=-1, keepdims=True), 1e-300)
+    # lexsort's last key sorts first, and ties keep their index order.
+    order = np.lexsort((-im, np.abs(im), -np.round(ov / ovmax, 10)))
+    k = np.arange(len(ov))
+    top, second = order[:, 0], order[:, min(1, n - 1)]
+    # Equal Im E to 1e-12 implies equal |Im E| to 1e-12.
+    tie = (
+        (top != second)
+        & (np.abs(ov[k, top] - ov[k, second]) <= 1e-9 * np.maximum(ov[k, top], 1e-300))
+        & (np.abs(im[k, top] - im[k, second]) <= 1e-12)
     )
+    same = np.broadcast_to((q1 == q1b) & (q2 == q2b), k.shape)
+    status = np.select(
+        [ref.breakdown | ref.condition_flags[:, idx], same, disp.breakdown, tie,
+         disp.condition_flags[k, top]],
+        [STATUS_EP_BREAKDOWN, STATUS_OK, STATUS_EP_BREAKDOWN, STATUS_BAND_AMBIGUOUS,
+         STATUS_EP_BREAKDOWN],
+        STATUS_OK,
+    )
+    values = fidelity_from_systems(ref, disp, idx, top)
+    return [
+        (s, 1 + 0j if at_p else value, 0.0) if s == STATUS_OK else (s, None, None)
+        for s, at_p, value in zip(status.tolist(), same.tolist(), values)
+    ]
 
 
 def susceptibility(family, band, p, direction):
@@ -194,24 +204,21 @@ def susceptibility(family, band, p, direction):
     """
     p = as_point(p)
     direction = unit(direction)
-    (value, error), = _sum_over_states(family, band, *p, *direction)
-    if value is None:
-        raise NormalizationBreakdownError(
-            f"band {band} at {p} is within tolerance of an EP"
-        )
+    value, error = _one_point(_sum_over_states(family, band, *p, *direction), band, p)
     return SusceptibilityResult(
         value=value, error_estimate=error, band=band, point=p, direction=direction
     )
 
 
 def _sum_over_states(family, band, q1, q2, n1, n2):
-    """[(chi, error_estimate)] of `band` at each point (q1, q2) along (n1, n2).
+    """[(status, chi, error_estimate)] of `band` at each point (q1, q2) along (n1, n2).
 
     q1 and q2 are floats (one point) or equal-length 1-D arrays; (n1, n2)
     is one unit direction (floats) for every point, or one per point
     ((N, 1, 1) arrays).  One stacked eigendecomposition serves every point.
     A point where normalization breaks down, or where `band` is flagged,
-    gives (None, None); the others follow `susceptibility`.
+    is ep_breakdown with no values; the others are ok and follow
+    `susceptibility`.
     """
     h = family.matrices(q1, q2).reshape(-1, family.dimension, family.dimension)
     d1, d2 = family.gradient(ParameterPoint(q1, q2))
@@ -233,9 +240,9 @@ def _sum_over_states(family, band, q1, q2, n1, n2):
     kappa = norm(lefts, -1).max(axis=-1)
     gap = np.abs(gaps).min(axis=1)
     bound = SOS_ERROR_FACTOR * matrix_scale(h[ok]) * kappa ** 2 / gap
-    out = [(None, None)] * len(h)
+    out = [(STATUS_EP_BREAKDOWN, None, None)] * len(h)
     for k, chi, err in zip(ok.tolist(), value.tolist(), (bound * weight).tolist()):
-        out[k] = (chi, err)
+        out[k] = (STATUS_OK, chi, err)
     return out
 
 
@@ -250,20 +257,9 @@ class ScanCell:
     error_estimate: Optional[float]
 
 
-# Per-cell breakdowns that a sweep reports as a status instead of raising.
-CELL_STATUS = {
-    NormalizationBreakdownError: STATUS_EP_BREAKDOWN,
-    BandAmbiguityError: STATUS_BAND_AMBIGUOUS,
-}
-
-
-def _chi_cells(family, band, coords, q1, q2, n1, n2):
-    """ScanCells of one batched sum-over-states call; EP cells are ep_breakdown."""
-    results = _sum_over_states(family, band, q1, q2, n1, n2)
-    return [
-        ScanCell(c, band, STATUS_EP_BREAKDOWN if value is None else STATUS_OK, value, err)
-        for c, (value, err) in zip(coords, results)
-    ]
+def _cells(band, coords, results):
+    """ScanCells of a kernel's (status, value, error) results, one per coords."""
+    return [ScanCell(c, band, *result) for c, result in zip(coords, results)]
 
 
 def grid_scan(family, box, resolution, band, direction):
@@ -279,7 +275,7 @@ def grid_scan(family, box, resolution, band, direction):
     q1 = np.tile(np.linspace(q1min, q1max, nx), ny)
     q2 = np.repeat(np.linspace(q2min, q2max, ny), nx)
     coords = list(zip(q1.tolist(), q2.tolist()))
-    return _chi_cells(family, band, coords, q1, q2, *unit(direction))
+    return _cells(band, coords, _sum_over_states(family, band, q1, q2, *unit(direction)))
 
 
 def line_scan(family, q1, q2_values, band, direction):
@@ -287,7 +283,7 @@ def line_scan(family, q1, q2_values, band, direction):
     q2 = np.asarray(q2_values, dtype=float).ravel()
     q1 = np.full(q2.shape, float(q1))
     coords = list(zip(q1.tolist(), q2.tolist()))
-    return _chi_cells(family, band, coords, q1, q2, *unit(direction))
+    return _cells(band, coords, _sum_over_states(family, band, q1, q2, *unit(direction)))
 
 
 def polar_sweep(family, center, radii, angles, band):
@@ -308,7 +304,8 @@ def polar_sweep(family, center, radii, angles, band):
     q1 = np.array([center.q1 + r * math.cos(phi) for r, phi in coords])
     q2 = np.array([center.q2 + r * math.sin(phi) for r, phi in coords])
     n1, n2 = np.array([unit((-math.cos(phi), -math.sin(phi))) for _, phi in coords]).T
-    return _chi_cells(family, band, coords, q1, q2, n1[:, None, None], n2[:, None, None])
+    results = _sum_over_states(family, band, q1, q2, n1[:, None, None], n2[:, None, None])
+    return _cells(band, coords, results)
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
@@ -321,12 +318,8 @@ def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     d = Displacement((0.0, 1.0), float(delta))
-    cells = []
-    for q2 in q2_values:
-        p = ParameterPoint(float(q1), float(q2))
-        try:
-            res = fidelity(family, band, p, d)
-            cells.append(ScanCell((p.q1, p.q2), band, STATUS_OK, res.value, 0.0))
-        except tuple(CELL_STATUS) as err:
-            cells.append(ScanCell((p.q1, p.q2), band, CELL_STATUS[type(err)], None, None))
-    return cells
+    q2 = np.asarray(q2_values, dtype=float).ravel()
+    q1 = np.full(q2.shape, float(q1))
+    coords = list(zip(q1.tolist(), q2.tolist()))
+    q1b, q2b = q1 + d.magnitude * d.direction[0], q2 + d.magnitude * d.direction[1]
+    return _cells(band, coords, _fidelities(family, band, q1, q2, q1b, q2b))

@@ -43,7 +43,9 @@ FIT_POWERS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 # over 16,000 located EPs: at most 2.8e-14 at Dirac EPs, while at
 # conventional EPs the larger of the two is at least 0.51.
 DIRAC_CHAIN_AMP_TOL = 1e-6
+# A Dirac EP's PT-unbroken ring: RING_SAMPLES points at NEIGHBOR_RADIUS.
 NEIGHBOR_RADIUS = 1e-2
+RING_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -207,27 +209,25 @@ def _dispersion(family, ep, chain, phi):
     )
 
 
-def classify_ep(family, ep, angle_samples=8):
+def classify_ep(family, ep):
     """Dirac vs conventional classification of a located EP.
 
     Dirac requires both chain elements <phi0|dH_i|psi0> of the parameter
     derivatives to vanish, to DIRAC_CHAIN_AMP_TOL relative to
     ||phi0|| ||psi0|| ||dH_i|| (so the pair splits linearly in every
-    direction), AND a PT-unbroken neighborhood: every one of
-    `angle_samples` points on the ring of radius NEIGHBOR_RADIUS.
-    Anything else is conventional.  Raises NotDefectiveError or
-    NoDoubleEigenvalueError as `jordan_chain` does.
+    direction), AND a PT-unbroken neighborhood: every one of RING_SAMPLES
+    points on the ring of radius NEIGHBOR_RADIUS.  Anything else is
+    conventional.  Raises NotDefectiveError or NoDoubleEigenvalueError as
+    `jordan_chain` does.
     """
-    if angle_samples < 4:
-        raise ValueError("need at least 4 angle samples")
     chain = jordan_chain(family.matrix(ep.point), ep.coalesced_energy)
     tol = DIRAC_CHAIN_AMP_TOL * np.linalg.norm(chain.phi0) * np.linalg.norm(chain.psi0)
     for dh in family.gradient(as_point(ep.point)):
         # A zero derivative couples nothing: 0 > 0 is false.
         if abs(a_coefficient(chain, dh)) > tol * np.linalg.norm(dh):
             return EPKind.CONVENTIONAL
-    angles = [2 * math.pi * k / angle_samples for k in range(angle_samples)]
-    ring = _ring(family, ep.point, [NEIGHBOR_RADIUS] * angle_samples, angles)
+    angles = [2 * math.pi * k / RING_SAMPLES for k in range(RING_SAMPLES)]
+    ring = _ring(family, ep.point, [NEIGHBOR_RADIUS] * RING_SAMPLES, angles)
     labels = phase_of(np.linalg.eigvals(ring), matrix_scale(ring)).label
     if any(label is not Phase.UNBROKEN for label in labels):
         return EPKind.CONVENTIONAL

@@ -66,20 +66,24 @@ class EPLocation:
     defect_measure: float
 
 
-def closest_pair(w):
-    """(gap, i, j): the smallest |w[i] - w[j]| over i < j, first such pair.
-
-    A scalar loop on purpose: at n = 3 it is about twice as fast as a
-    vectorised gap matrix for one spectrum.
-    """
-    n = len(w)
-    return min((abs(w[i] - w[j]), i, j) for i in range(n) for j in range(i + 1, n))
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
-    """Index arrays (i, j) of the pairs i < j, in `closest_pair`'s order."""
+    """Index arrays (i, j) of the pairs i < j, in row-major order."""
     return np.triu_indices(n, 1)
+
+
+def closest_pair(w):
+    """(gap, i, j): the smallest |w[i] - w[j]| over i < j, the first such pair.
+
+    Pairs are in row-major order.  `w` is one spectrum (n,) or a stack
+    (..., n), which gives arrays over the stack.  numpy's hypot is bit for bit the complex abs of a numpy
+    scalar (numpy's array complex abs can differ in the last bit).
+    """
+    i, j = _pairs(w.shape[-1])
+    d = w.take(i, axis=-1) - w.take(j, axis=-1)
+    gaps = np.hypot(d.real, d.imag)
+    k = gaps.argmin(axis=-1)
+    return gaps.min(axis=-1), i[k], j[k]
 
 
 # Indexed by 2 * near_ep + broken: a collapsed gap outranks complex energies.
@@ -91,12 +95,9 @@ def phase_of(w, scale):
 
     One spectrum gives a PhaseLabel of a Phase and two floats; a stack of
     spectra gives one of arrays over the stack (Phase members in an object
-    array).  numpy's hypot is bit for bit the complex abs of `closest_pair`
-    (numpy's own complex abs can differ in the last bit).
+    array).  The gap is `closest_pair`'s.
     """
-    i, j = _pairs(w.shape[-1])
-    d = w.take(i, axis=-1) - w.take(j, axis=-1)
-    gap = np.minimum.reduce(np.hypot(d.real, d.imag), axis=-1)
+    gap = closest_pair(w)[0]
     max_imag = np.maximum.reduce(np.abs(w.imag), axis=-1)
     if w.ndim == 1:
         gap, max_imag, scale = float(gap), float(max_imag), float(scale)

@@ -223,16 +223,6 @@ class TestLineCut:
         assert chis[-1] == min(chis)
 
 
-    def test_zero_direction_exits_3(self, runner, tmp_path):
-        out = tmp_path / "cut.csv"
-        result = runner.invoke(main, [
-            "line-cut", "--n-points", "3", "--direction", "0,0", "--out", str(out),
-        ])
-        assert result.exit_code == 3
-        assert "zero direction vector" in result.output
-        assert not out.exists()
-
-
 class TestStraddle:
     def test_approaches_half(self, runner, tmp_path):
         out = tmp_path / "straddle.csv"
@@ -246,6 +236,14 @@ class TestStraddle:
         last = rows[-1]
         assert last[6] == "ok"
         assert abs(float(last[4]) - 0.5) <= 0.02
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0", "-0.05"])
+    def test_bad_delta_exits_2(self, runner, tmp_path, delta):
+        out = tmp_path / "straddle.csv"
+        result = runner.invoke(main, ["straddle", "--delta", delta, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--delta must be positive and finite" in result.output
+        assert not out.exists()
 
 
 class TestPolar:
@@ -345,6 +343,26 @@ class TestTraceLine:
         assert len(rows) == 6
         for r in rows:
             assert float(r[4]) <= 1e-4
+
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
+    def test_bad_step_exits_2(self, runner, tmp_path, step):
+        out = tmp_path / "line.csv"
+        result = runner.invoke(main, [
+            "trace-line", "--segment", "0,1.2,0,1.7", "--step", step, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "--step must be finite and nonzero" in result.output
+        assert not out.exists()
+
+    def test_lost_track_exits_3(self, runner, tmp_path):
+        # The segment's EP is the isolated Dirac point.
+        out = tmp_path / "line.csv"
+        result = runner.invoke(main, [
+            "trace-line", "--segment", "0,0.5,0,1.3", "--out", str(out),
+        ])
+        assert result.exit_code == 3
+        assert "no continuation direction found around the seed" in result.output
+        assert not out.exists()
 
 
 class TestJordanCommand:
@@ -493,6 +511,23 @@ BASE_ARGS = {
     "trace-line": ["--segment", "0,1.2,0,1.7", "--max-points", "2"],
     "jordan": ["--point", "0,1"],
 }
+
+
+@pytest.mark.parametrize("command,direction,message", [
+    pytest.param("line-cut", "0,0", "zero direction vector", id="line-cut-zero"),
+    pytest.param("line-cut", "inf,1", "non-finite direction vector", id="line-cut-inf"),
+    pytest.param("chi-scan", "nan,1", "non-finite direction vector", id="chi-scan-nan"),
+])
+def test_bad_direction_exits_3(runner, tmp_path, command, direction, message):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, [
+        command, *BASE_ARGS[command], "--direction", direction, "--out", str(out),
+    ])
+    assert result.exit_code == 3
+    assert message in result.output
+    assert not out.exists()
+
+
 FLAG_VALUES = {"--band": "0", "--workers": "1", "--step-h": "0.001", "--format": "csv"}
 IGNORED_FLAGS = [
     ("spectrum-scan", "--band"),

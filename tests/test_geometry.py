@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -22,7 +23,10 @@ from nhgeom import (
 )
 from nhgeom.geometry import band_index, fidelity_from_systems, unit
 from nhgeom.linalg import matrix_scale
+from nhgeom.model import as_point
 from nhgeom.spectral import min_gap
+
+from conftest import reference_line_q2
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 EPS = np.finfo(float).eps
@@ -38,8 +42,9 @@ def hermitian_band0_overlap_sq(family, p, p2):
 
 class TestDisplacement:
     def test_unit_direction_enforced(self):
-        with pytest.raises(ValueError):
-            Displacement((1.0, 1.0), 0.1)
+        for direction in ((1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                Displacement(direction, 0.1)
         d = Displacement(unit((1.0, 1.0)), 0.1)
         q = d.applied_to((0.0, 0.0))
         assert q.q1 == pytest.approx(0.1 / np.sqrt(2))
@@ -80,7 +85,7 @@ class TestFidelity:
         # pair centered on the conventional EP at q2* ~ 1.4577
         f = fidelity(family, 0, (0.0, Q2_STAR - 0.05), Displacement((0.0, 1.0), 0.1))
         assert f.value.real == pytest.approx(0.5, abs=0.02)
-        labels = [lab.label for lab in f.phase_labels]
+        labels = [classify_phase(family, q).label for q in f.endpoints]
         assert labels == [Phase.UNBROKEN, Phase.BROKEN]
 
     def test_endpoint_at_ep_raises(self, family):
@@ -146,6 +151,11 @@ class TestSusceptibility:
         chi_0 = susceptibility(family, 0, (r, 1.0), (-1.0, 0.0))
         chi_90 = susceptibility(family, 0, (0.0, 1.0 + r), (0.0, -1.0))
         assert abs(chi_0.value.real) <= 1e-6 * abs(chi_90.value.real)
+
+    def test_nonfinite_direction_rejected(self, family):
+        for direction in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)):
+            with pytest.raises(ValueError, match="non-finite direction"):
+                susceptibility(family, 0, (0.3, 0.5), direction)
 
     def test_direction_symmetry(self, family):
         a = susceptibility(family, 0, (0.4, 0.7), (0.0, 1.0))
@@ -499,3 +509,113 @@ class TestStraddle:
         cells = straddle_fidelity(family, 0, [1.6], delta=0.05)
         assert cells[0].status == "ok"
         assert np.isfinite(cells[0].value)
+
+
+# The per-point fidelity that the stacked kernel replaced: two single-matrix
+# eigendecompositions, the band continued by a sorted() rule, exceptions
+# for every breakdown.
+def reference_match(ref_sys, idx, disp_sys):
+    ov = np.abs(ref_sys.lefts[idx] @ disp_sys.rights)
+    w = disp_sys.energies
+    ovmax = max(float(np.max(ov)), 1e-300)
+    order = sorted(
+        range(len(ov)),
+        key=lambda j: (-round(ov[j] / ovmax, 10), abs(w[j].imag), -w[j].imag, j),
+    )
+    top, second = order[0], order[1] if len(order) > 1 else order[0]
+    if (
+        top != second
+        and abs(ov[top] - ov[second]) <= 1e-9 * max(ov[top], 1e-300)
+        and abs(abs(w[top].imag) - abs(w[second].imag)) <= 1e-12
+        and abs(w[top].imag - w[second].imag) <= 1e-12
+    ):
+        raise BandAmbiguityError("indistinguishable continuation overlaps")
+    return top
+
+
+def reference_fidelity(family, band, p, d):
+    p = as_point(p)
+    sys1 = eigendecompose(family.matrix(p))
+    idx = band_index(band, sys1.dim)
+    if sys1.condition_flags[idx]:
+        raise NormalizationBreakdownError("band flagged at the reference point")
+    if d.magnitude == 0.0:
+        return 1.0 + 0.0j
+    sys2 = eigendecompose(family.matrix(d.applied_to(p)))
+    j = reference_match(sys1, idx, sys2)
+    if sys2.condition_flags[j]:
+        raise NormalizationBreakdownError("band flagged at the displaced point")
+    return complex((sys2.lefts[j] @ sys1.rights[:, idx]) * (sys1.lefts[idx] @ sys2.rights[:, j]))
+
+
+STATUS_OF = {NormalizationBreakdownError: "ep_breakdown", BandAmbiguityError: "band_ambiguous"}
+
+
+def reference_outcome(family, band, p, d):
+    """("ok", value bits) or (status, None) of the reference fidelity."""
+    try:
+        value = reference_fidelity(family, band, p, d)
+    except tuple(STATUS_OF) as err:
+        return STATUS_OF[type(err)], None
+    return "ok", (value.real.hex(), value.imag.hex())
+
+
+def fidelity_cases():
+    """(band, start point, Displacement) near the Dirac EP and the exceptional line.
+
+    Band 0 coalesces at both.  Each step both leaves the point and arrives
+    at it, along the axes, both ways, and obliquely.
+    """
+    centres = [(q1, float(reference_line_q2(q1))) for q1 in (-0.3, -0.15, 0.45)]
+    cases = []
+    for q1, q2 in centres + [(0.0, 1.0)]:
+        for offset in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            point = (q1, q2 + offset)
+            for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8)):
+                for step in (0.0, 1e-9, 1e-6, 1e-3, 0.05):
+                    d = Displacement(n, step)
+                    arriving = (point[0] - step * n[0], point[1] - step * n[1])
+                    cases += [(0, point, d), (0, arriving, d)]
+    return cases
+
+
+class TestStackedFidelityReference:
+    def test_fidelity_matches_per_point_reference(self, family):
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for band, p, d in fidelity_cases():
+                want = reference_outcome(family, band, p, d)
+                try:
+                    f = fidelity(family, band, p, d)
+                    got = "ok", (f.value.real.hex(), f.value.imag.hex())
+                except tuple(STATUS_OF) as err:
+                    got = STATUS_OF[type(err)], None
+                assert got == want, (band, p, d)
+                seen.add(got[0])
+        assert seen == {"ok", "ep_breakdown", "band_ambiguous"}
+
+    def test_straddle_matches_per_point_reference(self, family):
+        # Every upward step of the grid, one straddle call per (band,
+        # delta, q1).  None of them is ambiguous: on this grid only steps
+        # along q1 onto the exceptional line are.
+        ladders = {}
+        for band, p, d in fidelity_cases():
+            if d.direction == (0.0, 1.0) and d.magnitude > 0:
+                ladders.setdefault((band, d.magnitude), []).append(as_point(p))
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (band, delta), points in ladders.items():
+                for q1 in {p.q1 for p in points}:
+                    q2s = [p.q2 for p in points if p.q1 == q1]
+                    cells = straddle_fidelity(family, band, q2s, delta, q1=q1)
+                    for cell, q2 in zip(cells, q2s):
+                        value = None if cell.value is None else (
+                            cell.value.real.hex(), cell.value.imag.hex())
+                        d = Displacement((0.0, 1.0), delta)
+                        assert (cell.status, value) == reference_outcome(
+                            family, band, (q1, q2), d), (band, q1, q2, delta)
+                        assert cell.coords == (q1, q2)
+                        seen.add(cell.status)
+        assert seen == {"ok", "ep_breakdown"}

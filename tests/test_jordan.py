@@ -182,10 +182,10 @@ class TestSqrtCoefficient:
 
 class TestClassifyEP:
     def test_dirac(self, family, dirac_ep):
-        assert classify_ep(family, dirac_ep, angle_samples=8) is EPKind.DIRAC
+        assert classify_ep(family, dirac_ep) is EPKind.DIRAC
 
     def test_conventional(self, family, conventional_ep):
-        assert classify_ep(family, conventional_ep, angle_samples=8) is EPKind.CONVENTIONAL
+        assert classify_ep(family, conventional_ep) is EPKind.CONVENTIONAL
 
     def test_pseudo_ep_not_defective(self, family):
         pseudo = HamiltonianFamily(
@@ -201,11 +201,7 @@ class TestClassifyEP:
             defect_measure=0.0,
         )
         with pytest.raises(NotDefectiveError):
-            classify_ep(pseudo, ep, angle_samples=4)
-
-    def test_too_few_angles(self, family, dirac_ep):
-        with pytest.raises(ValueError):
-            classify_ep(family, dirac_ep, angle_samples=3)
+            classify_ep(pseudo, ep)
 
 
 def chain_amplitudes(h, energy, gradient):

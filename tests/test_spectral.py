@@ -11,6 +11,7 @@ from nhgeom import (
     EPKind,
     EPNotFoundError,
     HamiltonianFamily,
+    LostTrackError,
     Phase,
     classify_ep,
     classify_phase,
@@ -295,6 +296,13 @@ class TestTraceLine:
             wm = np.linalg.eigvals(family.matrix((-ep.point.q1, ep.point.q2)))
             assert np.allclose(sorted_complex(w), sorted_complex(wm), atol=1e-9)
 
+    def test_isolated_dirac_seed_loses_track(self, family):
+        # The Dirac EP is an isolated point of the exceptional set: no ring
+        # direction around it continues to another EP.
+        dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
+        with pytest.raises(LostTrackError, match="no continuation direction"):
+            trace_exceptional_line(family, dirac, step=0.05, max_points=40)
+
     def test_opposite_step_mirror(self, family, seed):
         fwd = trace_exceptional_line(family, seed, step=0.05, max_points=6)
         bwd = trace_exceptional_line(family, seed, step=-0.05, max_points=6)
@@ -375,6 +383,14 @@ class TestClosestPair:
         w = np.array([1 + 0j, -1 + 0j, 0j])
         assert closest_pair(w) == (1.0, 0, 2)
         assert reference_nearest_neighbours(w)[0] == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(complex_triples, min_size=1, max_size=6))
+    def test_stack_equals_rows(self, rows):
+        gaps, i, j = closest_pair(np.stack(rows))
+        for k, w in enumerate(rows):
+            gap, a, b = closest_pair(w)
+            assert (bits(gaps[k]), i[k], j[k]) == (bits(gap), a, b)
 
     def test_min_gap_is_the_closest_pair_gap(self, family):
         w = np.linalg.eigvals(family.matrix((0.3, 1.2)))
