@@ -3,8 +3,8 @@
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
 recording the fully resolved configuration, tool, python, numpy and click
 versions, wall time and row count (and, for chi sweeps, the number of
-cells of each status; for ep-locate, the located point's residual gap and
-|discriminant|).
+cells of each status; for ep-locate and trace-line, the largest residual
+gap and |discriminant| over the located points).
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -31,6 +31,7 @@ from .model import ParameterPoint, get_family
 from .jordan import _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
+    _discriminant,
     closest_pair,
     discriminant,
     ep_at,
@@ -397,17 +398,19 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
         raise click.UsageError(f"--step must be finite and nonzero, got {step}")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
+    q1, q2 = np.array([ep.point for ep in points]).T
+    evidence = {
+        "residual_gap": max(ep.gap for ep in points),
+        "discriminant": float(np.abs(_discriminant(family, q1, q2)).max()),
+    }
     rows = [
-        [
-            fnum(ep.point.q1),
-            fnum(ep.point.q2),
-            fnum(ep.coalesced_energy.real),
-            fnum(ep.coalesced_energy.imag),
-            fnum(ep.defect_measure),
-        ]
+        [fnum(x) for x in (*ep.point, ep.coalesced_energy.real, ep.coalesced_energy.imag,
+                           ep.defect_measure)]
         for ep in points
     ]
-    return write_rows(out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"], rows)
+    return evidence | write_rows(
+        out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"], rows
+    )
 
 
 @command(

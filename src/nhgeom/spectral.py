@@ -7,7 +7,9 @@ top of) an exceptional point.  EPs are located on parameter segments
 from the roots of the characteristic polynomial's discriminant, a
 degree-6 polynomial along any segment of a 3x3 family: a sign change
 crosses the exceptional line, a touching zero is the Dirac EP.
-Exceptional lines are traced by predictor-corrector continuation.
+Exceptional lines are traced by predictor-corrector continuation: the
+first step follows the tangent that the discriminant's analytic gradient
+gives, and each point costs one locator call.
 """
 
 import enum
@@ -105,11 +107,6 @@ def phase_of(w, scale):
     return PhaseLabel(label=_PHASES[code], max_imag=max_imag, min_gap=gap)
 
 
-def min_gap(family, p):
-    """Smallest pairwise eigenvalue distance of H(p)."""
-    return closest_pair(np.linalg.eigvals(family.matrix(p)))[0]
-
-
 def classify_phase(family, p):
     h = family.matrix(p)
     return phase_of(np.linalg.eigvals(h), matrix_scale(h))
@@ -125,8 +122,9 @@ def discriminant(family, p):
     return complex(_discriminant(family, *as_point(p)))
 
 
-def _discriminant(family, q1, q2):
-    """`discriminant` at each point (q1[k], q2[k]) of equal-shape arrays."""
+def _cubic(family, q1, q2):
+    """H, H^2, p1 = tr H, p2 = tr H^2 and, by Newton's identities, (b, c, d)
+    of the monic cubic x^3 + b x^2 + c x + d of H at each point (q1[k], q2[k])."""
     if family.dimension != 3:
         raise ValueError(f"discriminant requires a 3x3 family, not {family.name!r}")
     h = family.matrices(q1, q2)
@@ -134,9 +132,33 @@ def _discriminant(family, q1, q2):
     p1, p2, p3 = (np.trace(m, axis1=-2, axis2=-1) for m in (h, hh, hh @ h))
     e2 = (p1 * p1 - p2) / 2
     e3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6
-    # monic cubic x^3 + b x^2 + c x + d
-    b, c, d = -p1, e2, -e3
+    return h, hh, p1, p2, (-p1, e2, -e3)
+
+
+def _discriminant(family, q1, q2):
+    """`discriminant` at each point (q1[k], q2[k]) of equal-shape arrays."""
+    b, c, d = _cubic(family, q1, q2)[-1]
     return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+
+
+def _discriminant_gradient(family, p):
+    """(d disc/dq1, d disc/dq2), the real parts, at the point p.
+
+    It differentiates `_discriminant`'s own steps: d p_k = k tr(H^(k-1) dH)
+    with dH from `family.gradient`, then Newton's identities and the
+    discriminant's polynomial in (b, c, d).
+    """
+    p = as_point(p)
+    h, hh, p1, p2, (b, c, d) = _cubic(family, *p)
+    dh = np.stack(family.gradient(p))  # (2, 3, 3): dH/dq1, dH/dq2
+    dp1, dp2, dp3 = (k * np.trace(m, axis1=-2, axis2=-1)
+                     for k, m in ((1, dh), (2, h @ dh), (3, hh @ dh)))
+    dc = p1 * dp1 - dp2 / 2
+    dd = -(3 * (p1 * p1 - p2) * dp1 - 3 * p1 * dp2 + 2 * dp3) / 6
+    grad = ((18 * c * d - 12 * b * b * d + 2 * b * c * c) * -dp1  # db = -dp1
+            + (18 * b * d + 2 * b * b * c - 12 * c * c) * dc
+            + (18 * b * c - 4 * b ** 3 - 54 * d) * dd)
+    return grad.real
 
 
 def ep_at(family, p, energy):
@@ -227,72 +249,46 @@ def _in_box(p, box):
     return q1min <= p.q1 <= q1max and q2min <= p.q2 <= q2max
 
 
-def _correct(family, pred, perp, width):
-    a = ParameterPoint(pred[0] - width * perp[0], pred[1] - width * perp[1])
-    b = ParameterPoint(pred[0] + width * perp[0], pred[1] + width * perp[1])
-    return find_ep_on_segment(family, a, b)
-
-
 def trace_exceptional_line(family, seed, step, max_points, box=(-2, 2, 0, 2)):
     """Predictor-corrector continuation of an exceptional line from `seed`.
 
-    Steps tangentially (tangent from the two latest curve points, seeded by
-    probing a ring of candidate directions) and corrects transversally with
-    find_ep_on_segment.  Stops at `max_points` points or when the predictor
-    leaves `box` = (q1min, q1max, q2min, q2max); raises LostTrackError after
-    three consecutive corrector failures.
+    The first predictor steps |step| along the discriminant's zero-set
+    tangent at the seed, sign(step) (-d2 disc, d1 disc) / |grad disc|, so a
+    positive step keeps the PT-unbroken side (disc > 0) on its right; later
+    ones step along the secant of the last two points.  One
+    find_ep_on_segment call across each prediction, of half-width
+    0.6 |step|, corrects it.  Stops at `max_points` points or when a
+    predicted or corrected point leaves `box` = (q1min, q1max, q2min,
+    q2max).  Raises ValueError for a zero or non-finite step, and
+    LostTrackError when the gradient vanishes at the seed or a corrector
+    finds no EP, as from a singular point such as the isolated Dirac EP.
     """
-    if max_points < 1:
-        return []
-    points = [seed]
-    if max_points == 1:
-        return points
-
-    h = abs(step)
-    ref = math.pi if step < 0 else 0.0
-    angles = sorted(
-        (k * 2 * math.pi / 16 for k in range(16)),
-        key=lambda a: (min(abs(a - ref), 2 * math.pi - abs(a - ref)), a),
-    )
-    nxt = None
-    for ang in angles:
-        u = (math.cos(ang), math.sin(ang))
-        pred = (seed.point.q1 + h * u[0], seed.point.q2 + h * u[1])
-        try:
-            nxt = _correct(family, pred, (-u[1], u[0]), 0.6 * h)
-            break
-        except EPNotFoundError:
-            continue
-    if nxt is None:
-        raise LostTrackError("no continuation direction found around the seed")
-    if not _in_box(nxt.point, box):
-        return points
-    points.append(nxt)
-
-    while len(points) < max_points:
-        p1, p0 = points[-1].point, points[-2].point
-        tang = np.array([p1.q1 - p0.q1, p1.q2 - p0.q2])
+    if not (math.isfinite(step) and step != 0):
+        raise ValueError(f"step must be finite and nonzero, got {step}")
+    points = [seed][:max_points]
+    h, w = abs(step), 0.6 * abs(step)  # the step and the corrector's half-width
+    while 0 < len(points) < max_points:
+        p1 = points[-1].point
+        if len(points) == 1:
+            g1, g2 = _discriminant_gradient(family, p1)
+            tang = math.copysign(1.0, step) * np.array([-g2, g1])
+            if not tang.any():
+                raise LostTrackError(f"no continuation direction found around the seed {p1}: "
+                                     "the discriminant's gradient vanishes there")
+        else:
+            p0 = points[-2].point
+            tang = np.array([p1.q1 - p0.q1, p1.q2 - p0.q2])
         tang /= np.linalg.norm(tang)
-        got = None
-        out_of_box = False
-        for shrink in (1.0, 0.5, 0.25):  # three corrector attempts per step
-            step_len = h * shrink
-            pred = (p1.q1 + step_len * tang[0], p1.q2 + step_len * tang[1])
-            if not _in_box(ParameterPoint(*pred), box):
-                out_of_box = True
-                break
-            for width in (0.6 * step_len, 1.2 * step_len, 2.4 * step_len):
-                try:
-                    got = _correct(family, pred, (-tang[1], tang[0]), width)
-                    break
-                except EPNotFoundError:
-                    continue
-            if got is not None:
-                break
-        if out_of_box:
+        pred = ParameterPoint(p1.q1 + h * tang[0], p1.q2 + h * tang[1])
+        if not _in_box(pred, box):
             break
-        if got is None:
-            raise LostTrackError(f"corrector failed 3 times near {pred} while tracing")
+        try:
+            got = find_ep_on_segment(family, (pred.q1 + w * tang[1], pred.q2 - w * tang[0]),
+                                     (pred.q1 - w * tang[1], pred.q2 + w * tang[0]))
+        except EPNotFoundError as err:
+            where = "the seed" if len(points) == 1 else "the last point"
+            raise LostTrackError(
+                f"no continuation direction found around {where} {p1}: {err}") from err
         if not _in_box(got.point, box):
             break
         points.append(got)

@@ -344,6 +344,13 @@ class TestTraceLine:
         for r in rows:
             assert float(r[4]) <= 1e-4
 
+    def test_manifest_carries_accuracy_evidence(self, runner, tmp_path):
+        out = tmp_path / "line.csv"
+        run_ok(runner, ["trace-line", "--segment", "0,1.2,0,1.7", "--out", str(out)])
+        manifest = json.loads((tmp_path / "line.csv.manifest.json").read_text())
+        for key in ("residual_gap", "discriminant"):
+            assert math.isfinite(manifest[key]) and 0.0 <= manifest[key] <= 1e-4
+
     @pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
     def test_bad_step_exits_2(self, runner, tmp_path, step):
         out = tmp_path / "line.csv"

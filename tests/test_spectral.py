@@ -20,7 +20,8 @@ from nhgeom import (
     trace_exceptional_line,
 )
 from nhgeom import spectral
-from nhgeom.spectral import closest_pair, min_gap
+from nhgeom.model import ParameterPoint
+from nhgeom.spectral import _discriminant_gradient, closest_pair
 
 from conftest import (
     nv_axis_energies,
@@ -32,6 +33,11 @@ from conftest import (
 )
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
+
+
+def gap_at(family, p):
+    """The smallest eigenvalue gap of H(p)."""
+    return closest_pair(np.linalg.eigvals(family.matrix(p)))[0]
 
 
 class TestClassifyPhase:
@@ -225,21 +231,34 @@ class TestLocatorReferences:
         assert classify_ep(family, ep) is EPKind.DIRAC
 
 
+class TestDiscriminantGradient:
+    def test_against_50_digit_derivative(self, family, rng):
+        for q1, q2 in zip(rng.uniform(-2, 2, 50), rng.uniform(0, 2, 50)):
+            with mpmath.workdps(50):
+                x, y = mpmath.mpf(q1), mpmath.mpf(q2)
+                want = np.array([
+                    float(mpmath.diff(lambda t: reference_discriminant(t, y), x)),
+                    float(mpmath.diff(lambda t: reference_discriminant(x, t), y)),
+                ])
+            got = _discriminant_gradient(family, (q1, q2))
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 class TestGridEquivalence:
     def test_discriminant_gap_equivalence(self, family):
-        # |disc| < 1e-8 iff min_gap < 1e-4, on-grid and at the known EPs
+        # |disc| < 1e-8 iff the eigenvalue gap < 1e-4, on-grid and at the known EPs
         q1s = np.linspace(-2.0, 2.0, 200)
         q2s = np.linspace(0.0, 2.0, 200)
         mismatches = 0
         for q2 in q2s:
             for q1 in q1s:
                 small_disc = abs(discriminant(family, (q1, q2))) < 1e-8
-                small_gap = min_gap(family, (q1, q2)) < 1e-4
+                small_gap = gap_at(family, (q1, q2)) < 1e-4
                 mismatches += small_disc != small_gap
         assert mismatches == 0
         for p in ((0.0, 1.0), (0.0, Q2_STAR)):
             assert abs(discriminant(family, p)) < 1e-8
-            assert min_gap(family, p) < 1e-4
+            assert gap_at(family, p) < 1e-4
 
 
 class TestProperties:
@@ -276,6 +295,36 @@ def seed(family):
     return find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
 
 
+def rotated_nv(nv):
+    """NV rotated 90 degrees about (0, q2*): H(u1, u2) = H_nv(-(u2 - q2*), u1 + q2*)."""
+    def nv_point(p):
+        return ParameterPoint(-(p.q2 - Q2_STAR), p.q1 + Q2_STAR)
+
+    def gradient(p):
+        d1, d2 = nv.gradient(nv_point(p))
+        return d2, -d1
+
+    return HamiltonianFamily("nv-rotated", 3, lambda p: nv.builder(nv_point(p)), gradient)
+
+
+@pytest.fixture(scope="module")
+def seed_rotated(family):
+    rotated = rotated_nv(family)
+    return rotated, find_ep_on_segment(rotated, (-0.3, Q2_STAR), (0.3, Q2_STAR))
+
+
+def count_locator_calls(monkeypatch):
+    """Record the arguments of every find_ep_on_segment call the tracer makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_ep_on_segment(*args)
+
+    monkeypatch.setattr(spectral, "find_ep_on_segment", counted)
+    return calls
+
+
 class TestTraceLine:
     def test_single_point(self, family, seed):
         pts = trace_exceptional_line(family, seed, step=0.05, max_points=1)
@@ -286,7 +335,7 @@ class TestTraceLine:
         pts = trace_exceptional_line(family, seed, step=0.05, max_points=10)
         assert len(pts) > 3
         for ep in pts:
-            assert min_gap(family, ep.point) <= 1e-4
+            assert gap_at(family, ep.point) <= 1e-4
 
     def test_q1_mirror_symmetry(self, family, seed):
         # spectrum is invariant under q1 -> -q1; check on traced points
@@ -297,11 +346,44 @@ class TestTraceLine:
             assert np.allclose(sorted_complex(w), sorted_complex(wm), atol=1e-9)
 
     def test_isolated_dirac_seed_loses_track(self, family):
-        # The Dirac EP is an isolated point of the exceptional set: no ring
-        # direction around it continues to another EP.
+        # The Dirac EP is an isolated, singular point of the exceptional set:
+        # no direction from it continues to another EP.
         dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
         with pytest.raises(LostTrackError, match="no continuation direction"):
             trace_exceptional_line(family, dirac, step=0.05, max_points=40)
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -math.inf])
+    def test_bad_step_raises_value_error(self, family, seed, step):
+        with pytest.raises(ValueError, match="step must be finite and nonzero"):
+            trace_exceptional_line(family, seed, step=step, max_points=40)
+
+    def test_one_corrector_call_per_point(self, family, seed, monkeypatch):
+        calls = count_locator_calls(monkeypatch)
+        pts = trace_exceptional_line(family, seed, step=0.05, max_points=40)
+        assert len(pts) == 40
+        assert len(calls) == 39
+
+    def test_rotated_family_steps_both_ways(self, seed_rotated, monkeypatch):
+        # NV rotated 90 degrees about (0, q2*): the exceptional line leaves
+        # the seed vertically, with the PT-unbroken side (u1 < 0) to the
+        # right of a downward step.
+        family, seed = seed_rotated
+        calls = count_locator_calls(monkeypatch)
+        traces = {}
+        for step in (0.05, -0.05):
+            before = len(calls)
+            traces[step] = trace_exceptional_line(family, seed, step=step, max_points=10)
+            assert len(traces[step]) == 10
+            assert len(calls) - before == 9
+            for ep in traces[step]:
+                assert gap_at(family, ep.point) <= 1e-4
+        fwd, bwd = (traces[s][-1].point.q2 - seed.point.q2 for s in (0.05, -0.05))
+        assert fwd < -0.4 and bwd > 0.4
+        # To the right of the downward step lies -u1: the PT-unbroken side.
+        with mpmath.workdps(50):
+            u1, u2 = mpmath.mpf(seed.point.q1) - mpmath.mpf("0.01"), mpmath.mpf(seed.point.q2)
+            q2_star = mpmath.sqrt(mpmath.mpf(17) / 8)
+            assert reference_discriminant(-(u2 - q2_star), u1 + q2_star) > 0
 
     def test_opposite_step_mirror(self, family, seed):
         fwd = trace_exceptional_line(family, seed, step=0.05, max_points=6)
@@ -391,7 +473,3 @@ class TestClosestPair:
         for k, w in enumerate(rows):
             gap, a, b = closest_pair(w)
             assert (bits(gaps[k]), i[k], j[k]) == (bits(gap), a, b)
-
-    def test_min_gap_is_the_closest_pair_gap(self, family):
-        w = np.linalg.eigvals(family.matrix((0.3, 1.2)))
-        assert bits(min_gap(family, (0.3, 1.2))) == bits(closest_pair(w)[0])
