@@ -2,7 +2,8 @@
 
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
 recording the fully resolved configuration, tool, python, numpy and click
-versions, wall time and row count (and, for chi sweeps, the number of
+versions, wall time, row count and `write_s`, the part of the wall time
+spent writing the data file (and, for chi sweeps, the number of
 cells of each status; for ep-locate and trace-line, the largest residual
 gap and |discriminant| over the located points).
 Option precedence is defaults < config file (flat ``key = value`` lines,
@@ -31,6 +32,7 @@ from .model import ParameterPoint, get_family
 from .jordan import _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
+    Phase,
     _discriminant,
     closest_pair,
     discriminant,
@@ -100,32 +102,67 @@ def use_config(ctx, param, path):
     ctx.default_map = defaults
 
 
-def write_rows(out, fmt, header, rows):
-    """Write a data table and return its manifest fields: the row count.
+def write_rows(out, fmt, header, columns):
+    """Write a data table and return its manifest fields: the row count and
+    `write_s`, the seconds spent formatting and writing it.
 
-    None fields become empty CSV cells / JSON null.
+    `columns` are equal-length sequences, one per `header` name; a None
+    field is an empty CSV cell / JSON null.  The CSV bytes are those that
+    ``csv.writer(fh, lineterminator="\\n")`` writes for the header and the
+    rows, from one ``str.format`` call over the interleaved fields.
     """
+    started = time.monotonic()
+    nrows = len(columns[0])
     if fmt == "csv":
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-        data = buf.getvalue()
+        k = len(header)
+        fields = [None] * (k * (nrows + 1))
+        fields[:k] = _csv_cells(list(header), alone=k == 1)
+        for i, column in zip(range(k, 2 * k), columns, strict=True):
+            fields[i::k] = _csv_cells(column, alone=k == 1)
+        data = (("{}," * (k - 1) + "{}\n") * (nrows + 1)).format(*fields)
     else:
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
         data = json.dumps(records, indent=1) + "\n"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
-    return {"rows": len(rows)}
+    return {"rows": nrows, "write_s": time.monotonic() - started}
+
+
+def _csv_cells(column, alone):
+    """The fields of `column` as ``str.format`` must render them to write
+    what csv.writer writes.
+
+    csv.writer writes None as an empty field and any other non-str as its
+    str(), which is what ``format`` gives for an int or a float.  It quotes
+    a field that holds a delimiter, a quote or a line break, and the lone
+    field of a one-column row when it is empty; such fields are passed
+    through csv itself.
+    """
+    try:
+        text = "".join(column)
+    except TypeError:  # not all strs
+        if set(map(type, column)) <= {int, float}:
+            return column
+        column = ["" if v is None else str(v) for v in column]
+        text = "".join(column)
+    if not any(c in text for c in ',"\r\n') and not (alone and "" in column):
+        return column
+
+    def render(field):  # as csv writes it in a row of one field, or of more
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerow([field] if alone else [field, ""])
+        return buf.getvalue()[:-1 if alone else -2]
+
+    return list(map(render, column))
 
 
 def write_record(out, record):
-    """Write one JSON object and return its manifest fields: 1 row."""
+    """Write one JSON object and return its manifest fields: 1 row and `write_s`."""
+    started = time.monotonic()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    return {"rows": 1}
+    return {"rows": 1, "write_s": time.monotonic() - started}
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,21 +193,31 @@ def write_manifest(out, subcommand, config, started, fields):
         fh.write("\n")
 
 
+def coord_columns(cells):
+    """The two coordinate columns of sweep cells."""
+    return [fnum(c.coords[0]) for c in cells], [fnum(c.coords[1]) for c in cells]
+
+
+def ok_column(cells, value):
+    """fnum(value(cell)) for each cell; None (an empty field) where it is not ok."""
+    return [fnum(value(c)) if c.status == "ok" else None for c in cells]
+
+
 def write_chi(out, fmt, coord_names, cells):
     """Write chi sweep cells; a non-ok cell has no value fields.
 
     The manifest fields gain `status`, the number of cells of each status.
     """
-    rows = []
-    for c in cells:
-        row = [fnum(c.coords[0]), fnum(c.coords[1]), c.band]
-        if c.status == "ok":
-            row += [fnum(c.value.real), fnum(c.value.imag), fnum(c.error_estimate)]
-        else:
-            row += [None, None, None]
-        rows.append(row + [c.status])
+    columns = [
+        *coord_columns(cells),
+        [c.band for c in cells],
+        ok_column(cells, lambda c: c.value.real),
+        ok_column(cells, lambda c: c.value.imag),
+        ok_column(cells, lambda c: c.error_estimate),
+        [c.status for c in cells],
+    ]
     header = list(coord_names) + ["band", "re_chi", "im_chi", "error_estimate", "status"]
-    fields = write_rows(out, fmt, header, rows)
+    fields = write_rows(out, fmt, header, columns)
     fields["status"] = dict(Counter(c.status for c in cells))
     return fields
 
@@ -249,23 +296,31 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
-    q2s, q1s = np.meshgrid(
-        np.linspace(q2min, q2max, ny), np.linspace(q1min, q1max, nx), indexing="ij"
-    )
+    q1_axis, q2_axis = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
+    q2s, q1s = np.meshgrid(q2_axis, q1_axis, indexing="ij")
     h = family.matrices(q1s.ravel(), q2s.ravel())
-    q1s, q2s = q1s.ravel().tolist(), q2s.ravel().tolist()
     w = np.linalg.eigvals(h)
-    labels = [label.value for label in phase_of(w, matrix_scale(h)).label]
+    labels = phase_of(w, matrix_scale(h)).label
     w = np.take_along_axis(w, band_order(w), axis=-1)
-    bands = [1 - slot for slot in range(w.shape[-1])]
-    rows = [
-        [q1, q2, band, repr(re), repr(im), label]
-        for q1, q2, res, ims, label in zip(
-            map(repr, q1s), map(repr, q2s), w.real.tolist(), w.imag.tolist(), labels
-        )
-        for band, re, im in zip(bands, res, ims)
+    nb = w.shape[-1]  # rows run over q2, then q1, then band
+
+    def reprs(values):  # as an object array, for np.repeat and np.tile
+        return np.array(list(map(repr, values.tolist())), dtype=object)
+
+    phases = np.empty(labels.shape, dtype=object)
+    for phase in Phase:
+        phases[labels == phase] = phase.value
+    columns = [
+        np.tile(np.repeat(reprs(q1_axis), nb), ny).tolist(),
+        np.repeat(reprs(q2_axis), nb * nx).tolist(),
+        [1 - slot for slot in range(nb)] * (nx * ny),
+        list(map(repr, w.real.ravel().tolist())),
+        list(map(repr, w.imag.ravel().tolist())),
+        np.repeat(phases, nb).tolist(),
     ]
-    return write_rows(out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], rows)
+    return write_rows(
+        out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], columns
+    )
 
 
 @command(
@@ -313,14 +368,17 @@ def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     if not 0 < delta < math.inf:
         raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     cells = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
-    rows = []
-    for c in cells:
-        base = [fnum(c.coords[0]), fnum(c.coords[1]), fnum(delta), c.band]
-        if c.status == "ok":
-            rows.append(base + [fnum(c.value.real), fnum(c.value.imag), c.status])
-        else:
-            rows.append(base + [None, None, c.status])
-    return write_rows(out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], rows)
+    columns = [
+        *coord_columns(cells),
+        [fnum(delta)] * len(cells),
+        [c.band for c in cells],
+        ok_column(cells, lambda c: c.value.real),
+        ok_column(cells, lambda c: c.value.imag),
+        [c.status for c in cells],
+    ]
+    return write_rows(
+        out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], columns
+    )
 
 
 @command(
@@ -379,7 +437,8 @@ def cmd_ep_locate(family, out, fmt, segment):
         fnum(ep.defect_measure),
     ]
     return evidence | write_rows(
-        out, "csv", ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"], [row]
+        out, "csv", ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"],
+        [[v] for v in row],
     )
 
 
@@ -403,13 +462,11 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
         "residual_gap": max(ep.gap for ep in points),
         "discriminant": float(np.abs(_discriminant(family, q1, q2)).max()),
     }
-    rows = [
-        [fnum(x) for x in (*ep.point, ep.coalesced_energy.real, ep.coalesced_energy.imag,
-                           ep.defect_measure)]
-        for ep in points
-    ]
+    energies = np.array([ep.coalesced_energy for ep in points])
+    columns = [q1, q2, energies.real, energies.imag, [ep.defect_measure for ep in points]]
     return evidence | write_rows(
-        out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"], rows
+        out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"],
+        [list(map(fnum, column)) for column in columns],
     )
 
 

@@ -22,9 +22,6 @@ from .errors import (
 MAX_DIM = 16
 
 # Tolerances, relative to the Frobenius norm of the input matrix.
-TOL_RESID = 1e-10
-TOL_BIORTH = 1e-9
-TOL_COMPLETE = 1e-8
 DEGENERACY_TOL = 1e-8
 # The raw overlap of a band's unit left and right eigenvectors is 1/||L_k||
 # (see `eigendecompose`), so both overlap tolerances are thresholds on the

@@ -37,7 +37,8 @@ _VANDER_T = cheb.chebvander(_NODES, 2 * DISC_DEGREE).T
 # A stationary point of the discriminant is a touching zero when |disc|
 # there is within this many noise bounds.  Measured on the NV family over
 # 3,000 segments through the Dirac EP, true touches reach 2.24 bounds;
-# segments passing 1e-6 from it stay above 86.
+# segments passing 1e-6 from it stay above 86.  `trace_exceptional_line`
+# holds the gradient at its seed to the same factor of its round-off bound.
 TOUCH_NOISE_FACTOR = 10
 
 
@@ -142,11 +143,13 @@ def _discriminant(family, q1, q2):
 
 
 def _discriminant_gradient(family, p):
-    """(d disc/dq1, d disc/dq2), the real parts, at the point p.
+    """(d disc/dq1, d disc/dq2), the real parts, at the point p, and a bound
+    on the round-off of each.
 
     It differentiates `_discriminant`'s own steps: d p_k = k tr(H^(k-1) dH)
     with dH from `family.gradient`, then Newton's identities and the
-    discriminant's polynomial in (b, c, d).
+    discriminant's polynomial in (b, c, d).  The bound is eps times the same
+    sums taken over the absolute values of their terms.
     """
     p = as_point(p)
     h, hh, p1, p2, (b, c, d) = _cubic(family, *p)
@@ -158,7 +161,14 @@ def _discriminant_gradient(family, p):
     grad = ((18 * c * d - 12 * b * b * d + 2 * b * c * c) * -dp1  # db = -dp1
             + (18 * b * d + 2 * b * b * c - 12 * c * c) * dc
             + (18 * b * c - 4 * b ** 3 - 54 * d) * dd)
-    return grad.real
+    # The same sums over the absolute values of their terms, for the bound.
+    b, c, d, p1, p2, dp1, dp2, dp3 = map(np.abs, (b, c, d, p1, p2, dp1, dp2, dp3))
+    dc = p1 * dp1 + dp2 / 2
+    dd = ((p1 * p1 + p2) * dp1 + p1 * dp2) / 2 + dp3 / 3
+    terms = ((18 * c * d + 12 * b * b * d + 2 * b * c * c) * dp1
+             + (18 * b * d + 2 * b * b * c + 12 * c * c) * dc
+             + (18 * b * c + 4 * b ** 3 + 54 * d) * dd)
+    return grad.real, np.finfo(float).eps * terms
 
 
 def ep_at(family, p, energy):
@@ -260,8 +270,9 @@ def trace_exceptional_line(family, seed, step, max_points, box=(-2, 2, 0, 2)):
     0.6 |step|, corrects it.  Stops at `max_points` points or when a
     predicted or corrected point leaves `box` = (q1min, q1max, q2min,
     q2max).  Raises ValueError for a zero or non-finite step, and
-    LostTrackError when the gradient vanishes at the seed or a corrector
-    finds no EP, as from a singular point such as the isolated Dirac EP.
+    LostTrackError when the gradient at the seed is within
+    TOUCH_NOISE_FACTOR round-off bounds of zero, as at a singular point such
+    as the isolated Dirac EP, or when a corrector finds no EP.
     """
     if not (math.isfinite(step) and step != 0):
         raise ValueError(f"step must be finite and nonzero, got {step}")
@@ -270,11 +281,13 @@ def trace_exceptional_line(family, seed, step, max_points, box=(-2, 2, 0, 2)):
     while 0 < len(points) < max_points:
         p1 = points[-1].point
         if len(points) == 1:
-            g1, g2 = _discriminant_gradient(family, p1)
+            (g1, g2), noise = _discriminant_gradient(family, p1)
+            size, bound = math.hypot(g1, g2), TOUCH_NOISE_FACTOR * math.hypot(*noise)
+            if size <= bound:
+                raise LostTrackError(
+                    f"no continuation direction found around the seed {p1}: the "
+                    f"discriminant's gradient {size:.3e} is within round-off ({bound:.3e})")
             tang = math.copysign(1.0, step) * np.array([-g2, g1])
-            if not tang.any():
-                raise LostTrackError(f"no continuation direction found around the seed {p1}: "
-                                     "the discriminant's gradient vanishes there")
         else:
             p0 = points[-2].point
             tang = np.array([p1.q1 - p0.q1, p1.q2 - p0.q2])

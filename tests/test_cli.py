@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhgeom import NotDefectiveError, nv_family
-from nhgeom.cli import main
+from nhgeom.cli import main, write_rows
 from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,6 +39,68 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def csv_bytes(header, rows):
+    """The table as csv.writer writes it, the header first."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def json_bytes(header, rows):
+    """The table as a JSON list of records, one per row."""
+    return (json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n").encode()
+
+
+TRICKY = ["", ",", '"', "\r", "\n", "\r\n", 'a,"b"', " x ", "None", "nan", "{}", "{0}"]
+FIELD = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.sampled_from(TRICKY),
+    st.text(st.sampled_from(list('ab ,"\r\n{}')), max_size=6),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+)
+NAME = st.one_of(st.sampled_from(TRICKY), st.text(st.sampled_from(list('q1 ,"\n')), max_size=4))
+
+
+@st.composite
+def tables(draw):
+    """(header, rows) of 1 to 4 columns and 0 to 6 rows."""
+    k = draw(st.integers(1, 4))
+    header = draw(st.lists(NAME, min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(FIELD, min_size=k, max_size=k), max_size=6))
+    return header, rows
+
+
+class TestWriteRows:
+    """write_rows against csv.writer and the JSON records form, as oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    @example((["q1"], [[""], ["x"], [None]]))  # a lone empty field is written ""
+    @example((["q1", "q2"], []))  # the header alone
+    @example(([""], []))
+    @example((["a", "b"], [["", None], [-0.0, math.nan]]))
+    def test_bytes_match_the_oracles(self, table):
+        header, rows = table
+        columns = [[row[i] for row in rows] for i in range(len(header))]
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt, want in (("csv", csv_bytes), ("json", json_bytes)):
+                out = Path(tmp) / f"table.{fmt}"
+                fields = write_rows(str(out), fmt, header, columns)
+                assert out.read_bytes() == want(header, rows)
+                assert fields["rows"] == len(rows)
+                assert fields["write_s"] >= 0.0
+
+    def test_unequal_columns_raise(self, tmp_path):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError):
+                write_rows(str(tmp_path / "t"), fmt, ["a", "b"], [[1, 2], [3]])
 
 
 class TestSpectrumScan:
@@ -78,6 +141,9 @@ class TestSpectrumScan:
         ])
         assert result.exit_code == 2
         assert not out.exists()
+
+
+SPECTRUM_HEADER = ["q1", "q2", "band", "re_energy", "im_energy", "phase"]
 
 
 def reference_spectrum_rows(family, q1s, q2s):
@@ -156,11 +222,24 @@ class TestSpectrumScanReference:
                 "spectrum-scan", "--box", box, "--resolution", f"{nx},{ny}",
                 "--out", str(out),
             ])
-            _, rows = read_csv(out)
+            got = out.read_bytes()
         want = reference_spectrum_rows(
             family, np.linspace(q1a, q1b, nx), np.linspace(q2a, q2b, ny)
         )
-        assert rows == want
+        assert got == csv_bytes(SPECTRUM_HEADER, want)
+
+    def test_json_matches_pointwise_reference(self, family, tmp_path):
+        # The box puts one cell on each phase, (0, 1) on the Dirac EP.
+        out = tmp_path / "spec.json"
+        run_ok(CliRunner(), [
+            "spectrum-scan", "--box", "-1,1,0.5,2", "--resolution", "3,7",
+            "--format", "json", "--out", str(out),
+        ])
+        want = reference_spectrum_rows(family, np.linspace(-1, 1, 3), np.linspace(0.5, 2, 7))
+        assert {row[5] for row in want} == {"unbroken", "broken", "near_ep"}
+        for row in want:
+            row[2] = int(row[2])  # JSON keeps the band an integer
+        assert out.read_bytes() == json_bytes(SPECTRUM_HEADER, want)
 
     def test_edges_are_on_both_sides_of_each_threshold(self, family):
         labels = [reference_label(family, q2) for q2 in EDGE_Q2]
@@ -457,6 +536,18 @@ class TestConfigAndManifest:
         manifest = json.loads((tmp_path / "from_cfg.csv.manifest.json").read_text())
         assert manifest["config"]["out"] == str(out)
         assert "config" not in manifest["config"]
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum-scan", "--resolution", "5,5"],
+        ["chi-scan", "--resolution", "3,3", "--format", "json"],
+        ["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
+        ["jordan", "--point", "0,1"],
+    ])
+    def test_manifest_times_the_writer(self, runner, tmp_path, args):
+        out = tmp_path / "data"
+        run_ok(runner, args + ["--out", str(out)])
+        manifest = json.loads((tmp_path / "data.manifest.json").read_text())
+        assert 0.0 <= manifest["write_s"] <= manifest["wall_time_s"]
 
     @pytest.mark.parametrize("line", ["resolutoin = 3,3", "step-h = 0.001"])
     def test_unknown_config_key_exits_2(self, runner, tmp_path, line):

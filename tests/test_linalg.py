@@ -12,9 +12,16 @@ from nhgeom import (
     null_space,
     solve_linear,
 )
-from nhgeom.linalg import BREAKDOWN_TOL, TOL_BIORTH, TOL_COMPLETE, TOL_RESID
+from nhgeom.linalg import BREAKDOWN_TOL
 
 from conftest import sorted_complex
+
+# What eigendecompose is checked to deliver on well-conditioned matrices:
+# residuals relative to the Frobenius norm of the input, and the
+# biorthogonality and completeness defects of the left/right pairs.
+TOL_RESID = 1e-10
+TOL_BIORTH = 1e-9
+TOL_COMPLETE = 1e-8
 
 
 def charpoly_coeffs(a):
