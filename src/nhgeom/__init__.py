@@ -48,6 +48,7 @@ from .geometry import (
     FidelityResult,
     ScanCell,
     SusceptibilityResult,
+    Sweep,
     fidelity,
     grid_scan,
     line_scan,

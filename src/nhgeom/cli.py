@@ -19,14 +19,13 @@ import math
 import platform
 import sys
 import time
-from collections import Counter
 
 import click
 import numpy as np
 
 from . import __version__
 from .errors import NhgeomError
-from .geometry import grid_scan, line_scan, polar_sweep, straddle_fidelity
+from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import band_order, matrix_scale
 from .model import ParameterPoint, get_family
 from .jordan import _dispersion, classify_ep, jordan_chain
@@ -193,32 +192,34 @@ def write_manifest(out, subcommand, config, started, fields):
         fh.write("\n")
 
 
-def coord_columns(cells):
-    """The two coordinate columns of sweep cells."""
-    return [fnum(c.coords[0]) for c in cells], [fnum(c.coords[1]) for c in cells]
+def sweep_columns(sweep, *values):
+    """The columns of a Sweep's rows: its two coordinates, the band, a
+    column per array of `values` and the status.
+
+    A value field is the repr of a float where the cell is ok, and None
+    (an empty field) where it is not.
+    """
+    ok = sweep.status == OK
+
+    def fields(column):
+        spread = np.full(len(ok), None, dtype=object)
+        spread[ok] = list(map(repr, column[ok].tolist()))
+        return spread.tolist()
+
+    status = np.array(STATUSES, dtype=object)[sweep.status].tolist()
+    return [*sweep.coordinates(repr), [sweep.band] * len(sweep), *map(fields, values), status]
 
 
-def ok_column(cells, value):
-    """fnum(value(cell)) for each cell; None (an empty field) where it is not ok."""
-    return [fnum(value(c)) if c.status == "ok" else None for c in cells]
-
-
-def write_chi(out, fmt, coord_names, cells):
-    """Write chi sweep cells; a non-ok cell has no value fields.
+def write_chi(out, fmt, coord_names, sweep):
+    """Write a chi Sweep; a non-ok cell has no value fields.
 
     The manifest fields gain `status`, the number of cells of each status.
     """
-    columns = [
-        *coord_columns(cells),
-        [c.band for c in cells],
-        ok_column(cells, lambda c: c.value.real),
-        ok_column(cells, lambda c: c.value.imag),
-        ok_column(cells, lambda c: c.error_estimate),
-        [c.status for c in cells],
-    ]
+    columns = sweep_columns(sweep, sweep.values.real, sweep.values.imag, sweep.errors)
     header = list(coord_names) + ["band", "re_chi", "im_chi", "error_estimate", "status"]
     fields = write_rows(out, fmt, header, columns)
-    fields["status"] = dict(Counter(c.status for c in cells))
+    counts = np.bincount(sweep.status, minlength=len(STATUSES)).tolist()
+    fields["status"] = {name: n for name, n in zip(STATUSES, counts) if n}
     return fields
 
 
@@ -336,8 +337,8 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     if nx < 2 or ny < 2:
         raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
     dirv = parse_numbers(direction, 2, "--direction")
-    cells = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
-    return write_chi(out, fmt, ["q1", "q2"], cells)
+    sweep = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
+    return write_chi(out, fmt, ["q1", "q2"], sweep)
 
 
 @command(
@@ -351,8 +352,8 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
     """Susceptibility along a q2 line at fixed q1."""
     q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
     dirv = parse_numbers(direction, 2, "--direction")
-    cells = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
-    return write_chi(out, fmt, ["q1", "q2"], cells)
+    sweep = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
+    return write_chi(out, fmt, ["q1", "q2"], sweep)
 
 
 @command(
@@ -367,15 +368,9 @@ def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
     if not 0 < delta < math.inf:
         raise click.UsageError(f"--delta must be positive and finite, got {delta}")
-    cells = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
-    columns = [
-        *coord_columns(cells),
-        [fnum(delta)] * len(cells),
-        [c.band for c in cells],
-        ok_column(cells, lambda c: c.value.real),
-        ok_column(cells, lambda c: c.value.imag),
-        [c.status for c in cells],
-    ]
+    sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
+    columns = sweep_columns(sweep, sweep.values.real, sweep.values.imag)
+    columns.insert(2, [fnum(delta)] * len(sweep))
     return write_rows(
         out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], columns
     )
@@ -395,14 +390,16 @@ def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     radiiv = parse_numbers(radii, None, "--radii")
     if angles is not None:
         anglesv = parse_numbers(angles, None, "--angles")
+        if not anglesv:
+            raise click.UsageError("--angles must be nonempty")
     else:
         anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
     if not radiiv:
         raise click.UsageError("--radii must be nonempty")
     if not all(r > 0 for r in radiiv):
         raise click.UsageError(f"all radii must be positive, got {radii!r}")
-    cells = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
-    return write_chi(out, fmt, ["r", "phi"], cells)
+    sweep = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
+    return write_chi(out, fmt, ["r", "phi"], sweep)
 
 
 @command(

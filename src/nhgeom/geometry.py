@@ -4,13 +4,15 @@ The fidelity between neighboring parameter points is the complex product
 of the two cross overlaps of biorthogonally normalized eigenvectors; the
 susceptibility is its quadratic coefficient, evaluated exactly by the
 biorthogonal sum over states from one eigensystem and the analytic
-parameter gradient.  Each has one stacked kernel that returns a status
-per point; the grid, line, polar and straddle sweeps keep every status as
-a ScanCell, so the singular set shows up as data, and `fidelity` and
-`susceptibility`, the one-point cases, raise STATUS_ERRORS for it.
+parameter gradient.  Each has one stacked kernel that returns columns: a
+status code per point and the values where it is ok.  The grid, line,
+polar and straddle sweeps keep every status in a Sweep, so the singular
+set shows up as data, and `fidelity` and `susceptibility`, the one-point
+cases, raise STATUS_ERRORS for it.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +29,9 @@ SOS_ERROR_FACTOR = 16 * np.finfo(float).eps
 STATUS_OK = "ok"
 STATUS_EP_BREAKDOWN = "ep_breakdown"
 STATUS_BAND_AMBIGUOUS = "band_ambiguous"
+# A kernel's status column holds indices into STATUSES.
+STATUSES = (STATUS_OK, STATUS_EP_BREAKDOWN, STATUS_BAND_AMBIGUOUS)
+OK, EP_BREAKDOWN, BAND_AMBIGUOUS = range(len(STATUSES))
 
 # The error a one-point call raises for each non-ok status of its kernel.
 STATUS_ERRORS = {
@@ -90,12 +95,22 @@ def band_index(band, dim):
     return dim // 2 - band
 
 
-def _one_point(results, band, where):
-    """(value, error) of a kernel's only result; raises for a non-ok status."""
-    (status, value, error), = results
-    if status != STATUS_OK:
+def _one_point(columns, band, *where):
+    """(value, error) of a kernel's only point; raises for a non-ok status,
+    naming the band and the points `where`."""
+    status, values, errors = columns
+    if status[0] != OK:
+        status = STATUSES[status[0]]
+        where = " -> ".join(map(str, where))
         raise STATUS_ERRORS[status](f"band {band} at {where}: {status}")
-    return value, error
+    return complex(values[0]), float(errors[0])
+
+
+def _masked(status, values, dtype):
+    """`values` of the ok points spread over a column of every point, NaN elsewhere."""
+    column = np.full(status.shape, np.nan, dtype=dtype)
+    column[status == OK] = values
+    return column
 
 
 def fidelity_from_systems(ref_sys, disp_sys, idx, disp_idx):
@@ -129,12 +144,12 @@ def fidelity(family, band, p, d):
     """
     p = as_point(p)
     p2 = d.applied_to(p)
-    value, _ = _one_point(_fidelities(family, band, *p, *p2), band, f"{p} -> {p2}")
+    value, _ = _one_point(_fidelities(family, band, *p, *p2), band, p, p2)
     return FidelityResult(value=value, band=band, endpoints=(p, p2))
 
 
 def _fidelities(family, band, q1, q2, q1b, q2b):
-    """[(status, F, error)] of `band` from each point (q1, q2) to (q1b, q2b).
+    """(status, F, error) columns of `band` from each point (q1, q2) to (q1b, q2b).
 
     The coordinates are floats or equal-length 1-D arrays; one stacked
     eigendecomposition serves each end.  The displaced band is the one of
@@ -146,6 +161,7 @@ def _fidelities(family, band, q1, q2, q1b, q2b):
     ep_breakdown if the displaced end breaks down, band_ambiguous if its
     two best candidates agree to 1e-9 in overlap and 1e-12 in Im E,
     ep_breakdown if it flags the matched band, and else ok, with error 0.
+    F and the error are NaN where the status is not ok.
     """
     n = family.dimension
     idx = band_index(band, n)
@@ -164,19 +180,18 @@ def _fidelities(family, band, q1, q2, q1b, q2b):
         & (np.abs(ov[k, top] - ov[k, second]) <= 1e-9 * np.maximum(ov[k, top], 1e-300))
         & (np.abs(im[k, top] - im[k, second]) <= 1e-12)
     )
-    same = np.broadcast_to((q1 == q1b) & (q2 == q2b), k.shape)
-    status = np.select(
-        [ref.breakdown | ref.condition_flags[:, idx], same, disp.breakdown, tie,
-         disp.condition_flags[k, top]],
-        [STATUS_EP_BREAKDOWN, STATUS_OK, STATUS_EP_BREAKDOWN, STATUS_BAND_AMBIGUOUS,
-         STATUS_EP_BREAKDOWN],
-        STATUS_OK,
-    )
-    values = fidelity_from_systems(ref, disp, idx, top)
-    return [
-        (s, 1 + 0j if at_p else value, 0.0) if s == STATUS_OK else (s, None, None)
-        for s, at_p, value in zip(status.tolist(), same.tolist(), values)
-    ]
+    same = (q1 == q1b) & (q2 == q2b) & np.ones(len(k), dtype=bool)
+    # Each rule overwrites the ones after it in order of precedence.
+    status = np.where(disp.condition_flags[k, top], EP_BREAKDOWN, OK)
+    status[tie] = BAND_AMBIGUOUS
+    status[disp.breakdown] = EP_BREAKDOWN
+    status[same] = OK
+    status[ref.breakdown | ref.condition_flags[:, idx]] = EP_BREAKDOWN
+    values = np.array(fidelity_from_systems(ref, disp, idx, top), dtype=complex)
+    values[same] = 1
+    ok = status == OK
+    values[~ok] = np.nan
+    return status, values, np.where(ok, 0.0, np.nan)
 
 
 def susceptibility(family, band, p, direction):
@@ -211,23 +226,25 @@ def susceptibility(family, band, p, direction):
 
 
 def _sum_over_states(family, band, q1, q2, n1, n2):
-    """[(status, chi, error_estimate)] of `band` at each point (q1, q2) along (n1, n2).
+    """(status, chi, error_estimate) columns of `band` at each point (q1, q2) along (n1, n2).
 
     q1 and q2 are floats (one point) or equal-length 1-D arrays; (n1, n2)
     is one unit direction (floats) for every point, or one per point
     ((N, 1, 1) arrays).  One stacked eigendecomposition serves every point.
     A point where normalization breaks down, or where `band` is flagged,
-    is ep_breakdown with no values; the others are ok and follow
-    `susceptibility`.
+    is ep_breakdown, with chi and the error NaN; the others are ok and
+    follow `susceptibility`.
     """
     h = family.matrices(q1, q2).reshape(-1, family.dimension, family.dimension)
     d1, d2 = family.gradient(ParameterPoint(q1, q2))
     dh = (n1 * d1 + n2 * d2).reshape(h.shape)
     system = eigendecompose(h)
     n = band_index(band, system.dim)
-    ok = np.flatnonzero(~(system.breakdown | system.condition_flags[:, n]))
-    w, lefts, dh = system.energies[ok], system.lefts[ok], dh[ok]
-    a = lefts @ dh @ system.rights[ok]
+    status = np.where(system.breakdown | system.condition_flags[:, n], EP_BREAKDOWN, OK)
+    ok = status == OK
+    w, lefts, rights = system.energies[ok], system.lefts[ok], system.rights[ok]
+    dh, h = dh[ok], h[ok]
+    a = lefts @ dh @ rights
     others = [m for m in range(system.dim) if m != n]
     row, col = a[:, n, others], a[:, others, n]
     gaps = w[:, n, None] - w[:, others]
@@ -239,11 +256,8 @@ def _sum_over_states(family, band, q1, q2, n1, n2):
     value, weight = terms.sum(axis=1), spread.sum(axis=1)
     kappa = norm(lefts, -1).max(axis=-1)
     gap = np.abs(gaps).min(axis=1)
-    bound = SOS_ERROR_FACTOR * matrix_scale(h[ok]) * kappa ** 2 / gap
-    out = [(STATUS_EP_BREAKDOWN, None, None)] * len(h)
-    for k, chi, err in zip(ok.tolist(), value.tolist(), (bound * weight).tolist()):
-        out[k] = (STATUS_OK, chi, err)
-    return out
+    bound = SOS_ERROR_FACTOR * matrix_scale(h) * kappa ** 2 / gap
+    return status, _masked(status, value, complex), _masked(status, bound * weight, float)
 
 
 @dataclass(frozen=True)
@@ -257,9 +271,54 @@ class ScanCell:
     error_estimate: Optional[float]
 
 
-def _cells(band, coords, results):
-    """ScanCells of a kernel's (status, value, error) results, one per coords."""
-    return [ScanCell(c, band, *result) for c, result in zip(coords, results)]
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A sweep's cells as columns, read as a sequence of ScanCells.
+
+    The cells run over every pair of values of `axes`, two 1-D float
+    arrays in the order of a cell's coords, with axes[fast] varying
+    fastest.  `status` holds each cell's index into STATUSES; `values` and
+    `errors` hold its payload, NaN where the status is not ok.  A cell is
+    built when it is read.  Like the list of cells it stands for, a Sweep
+    equals a list or a Sweep of equal cells.
+    """
+
+    axes: tuple
+    fast: int
+    band: int
+    status: np.ndarray
+    values: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self):
+        return len(self.status)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Sweep)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # a negative k counts from the end
+        outer, inner = divmod(k, len(self.axes[self.fast]))
+        i, j = (inner, outer) if self.fast == 0 else (outer, inner)
+        coords = (float(self.axes[0][i]), float(self.axes[1][j]))
+        status = STATUSES[self.status[k]]
+        if status != STATUS_OK:
+            return ScanCell(coords, self.band, status, None, None)
+        return ScanCell(coords, self.band, status, complex(self.values[k]), float(self.errors[k]))
+
+    def coordinates(self, render=float):
+        """The two coordinate columns, as lists of `render` of each axis
+        value, which is called once per value of an axis."""
+        fast, slow = self.fast, 1 - self.fast
+        axes = [np.array([render(x) for x in axis.tolist()], dtype=object) for axis in self.axes]
+        columns = [None, None]
+        columns[fast] = np.tile(axes[fast], len(axes[slow])).tolist()
+        columns[slow] = np.repeat(axes[slow], len(axes[fast])).tolist()
+        return columns
 
 
 def grid_scan(family, box, resolution, band, direction):
@@ -272,26 +331,26 @@ def grid_scan(family, box, resolution, band, direction):
     if nx < 2 or ny < 2:
         raise ValueError(f"grid resolution must be at least 2x2, got {resolution}")
     q1min, q1max, q2min, q2max = box
-    q1 = np.tile(np.linspace(q1min, q1max, nx), ny)
-    q2 = np.repeat(np.linspace(q2min, q2max, ny), nx)
-    coords = list(zip(q1.tolist(), q2.tolist()))
-    return _cells(band, coords, _sum_over_states(family, band, q1, q2, *unit(direction)))
+    q1, q2 = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
+    columns = _sum_over_states(family, band, np.tile(q1, ny), np.repeat(q2, nx), *unit(direction))
+    return Sweep((q1, q2), 0, band, *columns)
 
 
 def line_scan(family, q1, q2_values, band, direction):
     """Susceptibility at (q1, q2) for each q2 in `q2_values`, in order."""
     q2 = np.asarray(q2_values, dtype=float).ravel()
     q1 = np.full(q2.shape, float(q1))
-    coords = list(zip(q1.tolist(), q2.tolist()))
-    return _cells(band, coords, _sum_over_states(family, band, q1, q2, *unit(direction)))
+    columns = _sum_over_states(family, band, q1, q2, *unit(direction))
+    return Sweep((q1[:1], q2), 0, band, *columns)
 
 
 def polar_sweep(family, center, radii, angles, band):
-    """Radial susceptibility on circles around `center`.
+    """Radial susceptibility on circles around `center`, angles fastest.
 
     The displacement direction at polar angle phi is the inward radial
     direction -(cos phi, sin phi), i.e. the fidelity between the states at
-    r and r - dq.  All radii must be positive.
+    r and r - dq.  All radii must be positive.  The cells' coords are
+    (r, phi).
     """
     center = as_point(center)
     radii = [float(r) for r in radii]
@@ -300,12 +359,12 @@ def polar_sweep(family, center, radii, angles, band):
         raise ValueError("radii and angles must be nonempty")
     if not all(r > 0 for r in radii):
         raise ValueError(f"all radii must be positive; got {radii}")
-    coords = [(r, phi) for r in radii for phi in angles]
-    q1 = np.array([center.q1 + r * math.cos(phi) for r, phi in coords])
-    q2 = np.array([center.q2 + r * math.sin(phi) for r, phi in coords])
-    n1, n2 = np.array([unit((-math.cos(phi), -math.sin(phi))) for _, phi in coords]).T
-    results = _sum_over_states(family, band, q1, q2, n1[:, None, None], n2[:, None, None])
-    return _cells(band, coords, results)
+    cos, sin = [math.cos(phi) for phi in angles], [math.sin(phi) for phi in angles]
+    n1, n2 = np.tile(np.array([unit((-c, -s)) for c, s in zip(cos, sin)]).T, len(radii))
+    r = np.array(radii)[:, None]
+    q1, q2 = (center.q1 + r * np.array(cos)).ravel(), (center.q2 + r * np.array(sin)).ravel()
+    columns = _sum_over_states(family, band, q1, q2, n1[:, None, None], n2[:, None, None])
+    return Sweep((r[:, 0], np.array(angles)), 1, band, *columns)
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
@@ -313,13 +372,12 @@ def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
 
     Band continuation across the PT-broken boundary is by maximal overlap
     (conjugate-pair ties resolved toward smaller, then positive, Im E).
-    Returns ScanCell rows whose coords are (q1, q2).
+    Returns a Sweep whose cells' coords are (q1, q2).
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     d = Displacement((0.0, 1.0), float(delta))
     q2 = np.asarray(q2_values, dtype=float).ravel()
     q1 = np.full(q2.shape, float(q1))
-    coords = list(zip(q1.tolist(), q2.tolist()))
     q1b, q2b = q1 + d.magnitude * d.direction[0], q2 + d.magnitude * d.direction[1]
-    return _cells(band, coords, _fidelities(family, band, q1, q2, q1b, q2b))
+    return Sweep((q1[:1], q2), 0, band, *_fidelities(family, band, q1, q2, q1b, q2b))

@@ -9,7 +9,7 @@ N <= 16 and are pure functions: safe for concurrent use.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class BiorthogonalEigensystem:
     with lefts[n] @ rights[:, n] == 1.  Bands are sorted by (Re E
     descending, Im E descending).  `condition_flags[n]` marks bands that
     are near-degenerate or whose raw left-right overlap was too small for
-    trustworthy normalization.
+    trustworthy normalization.  `matrix`, a keyword-only field, is a copy
+    of the decomposed matrix, from which `residuals()` is computed.
 
     For a stack of matrices every field gains the stack's leading axis,
     and `breakdown` marks the matrices whose normalization broke down
@@ -90,13 +91,18 @@ class BiorthogonalEigensystem:
     energies: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
-    residuals: np.ndarray
     condition_flags: np.ndarray
     breakdown: np.ndarray = False
+    matrix: np.ndarray = field(kw_only=True)
 
     @property
     def dim(self):
         return self.energies.shape[-1]
+
+    def residuals(self):
+        """||H R_n - E_n R_n|| for each band."""
+        r = self.rights
+        return norm(self.matrix @ r - r * self.energies[..., None, :], -2)
 
     def completeness_defect(self):
         """Frobenius distance of sum_n |R_n><L_n| from the identity."""
@@ -157,17 +163,16 @@ def eigendecompose(h):
     if n > 1:
         gaps = np.abs(w[:, :, None] - w[:, None, :]) + _inf_diagonal(n)
         flags |= gaps.min(axis=-1) < DEGENERACY_TOL * scale
-    residuals = norm(stack @ rights - rights * w[:, None, :], -2)
 
     if h.ndim == 3:
-        return BiorthogonalEigensystem(w, rights, lefts, residuals, flags, bad.any(axis=-1))
+        return BiorthogonalEigensystem(w, rights, lefts, flags, bad.any(axis=-1), matrix=h.copy())
     if bad.any():
         raise NormalizationBreakdownError(
             f"left-right overlap below {BREAKDOWN_TOL:g}*|H| for bands "
             f"{np.nonzero(bad[0])[0].tolist()}: exceptional point within tolerance",
             overlaps=overlaps[0],
         )
-    return BiorthogonalEigensystem(w[0], rights[0], lefts[0], residuals[0], flags[0])
+    return BiorthogonalEigensystem(w[0], rights[0], lefts[0], flags[0], matrix=h.copy())
 
 
 def solve_linear(a, b, rank_tol=1e-12):

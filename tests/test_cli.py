@@ -15,7 +15,15 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhgeom import NotDefectiveError, nv_family
+from nhgeom import (
+    BandAmbiguityError,
+    Displacement,
+    NormalizationBreakdownError,
+    NotDefectiveError,
+    fidelity,
+    nv_family,
+    susceptibility,
+)
 from nhgeom.cli import main, write_rows
 from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
 
@@ -345,6 +353,165 @@ class TestPolar:
             assert result.exit_code == 2
             assert "all radii must be positive" in result.output
             assert not out.exists()
+
+    @pytest.mark.parametrize("angles", ["", ",", " "])
+    def test_empty_angles_exit_2(self, runner, tmp_path, angles, monkeypatch):
+        # A usage error, found before any work, like an empty --radii.
+        def no_work(*args):
+            raise AssertionError("polar_sweep called")
+
+        monkeypatch.setattr("nhgeom.cli.polar_sweep", no_work)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["polar", "--angles", angles, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--angles must be nonempty" in result.output
+        assert not out.exists()
+
+
+STATUS_OF = {NormalizationBreakdownError: "ep_breakdown", BandAmbiguityError: "band_ambiguous"}
+CHI_FIELDS = ["band", "re_chi", "im_chi", "error_estimate", "status"]
+STRADDLE_HEADER = ["q1", "q2", "delta", "band", "re_f", "im_f", "status"]
+BANDS = st.sampled_from((-1, 0, 1))
+# Offsets from the Dirac EP (0, 1) that put it inside a box or a range.
+HALF_WIDTHS = st.floats(0.01, 1.0)
+
+
+def csv_args(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def reference_chi_rows(family, band, cells):
+    """Chi sweep rows from one-point `susceptibility` calls, a raised
+    status written as empty value fields.  `cells` holds (coords, point,
+    direction) triples."""
+    rows = []
+    for coords, point, direction in cells:
+        try:
+            res = susceptibility(family, band, point, direction)
+            fields = [repr(res.value.real), repr(res.value.imag), repr(res.error_estimate), "ok"]
+        except tuple(STATUS_OF) as err:
+            fields = [None, None, None, STATUS_OF[type(err)]]
+        rows.append([repr(coords[0]), repr(coords[1]), band, *fields])
+    return rows
+
+
+def assert_cli_bytes(args, header, rows):
+    """The command writes `rows` in CSV and in JSON, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, want in (("csv", csv_bytes), ("json", json_bytes)):
+            out = Path(tmp) / f"out.{fmt}"
+            run_ok(CliRunner(), [*args, "--format", fmt, "--out", str(out)])
+            assert out.read_bytes() == want(header, rows), fmt
+
+
+class TestChiSweepReference:
+    """Chi sweep files against rows built point by point from the one-point
+    `susceptibility` and `fidelity`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                      st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+            st.tuples(HALF_WIDTHS, HALF_WIDTHS).map(
+                lambda ab: (-ab[0], ab[0], 1.0 - ab[1], 1.0 + ab[1])),
+        ),
+        st.integers(2, 5),
+        st.integers(2, 5),
+        BANDS,
+        st.floats(0.0, 2 * math.pi),
+    )
+    @example((-0.1, 0.1, 0.9, 1.1), 3, 3, 0, math.pi / 2)  # a cell on the Dirac EP
+    def test_chi_scan(self, family, box, nx, ny, band, phi):
+        direction = (math.cos(phi), math.sin(phi))
+        cells = [((q1, q2), (q1, q2), direction)
+                 for q2 in np.linspace(box[2], box[3], ny).tolist()
+                 for q1 in np.linspace(box[0], box[1], nx).tolist()]
+        assert_cli_bytes(
+            ["chi-scan", "--box", csv_args(box), "--resolution", f"{nx},{ny}",
+             "--direction", csv_args(direction), "--band", str(band)],
+            ["q1", "q2", *CHI_FIELDS], reference_chi_rows(family, band, cells))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5)),
+        st.one_of(
+            st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+            HALF_WIDTHS.map(lambda b: (1.0 - b, 1.0 + b)),
+        ),
+        st.integers(2, 7),
+        BANDS,
+        st.floats(0.0, 2 * math.pi),
+    )
+    @example(0.0, (0.9, 1.1), 3, 0, math.pi / 2)
+    def test_line_cut(self, family, q1, q2_range, n_points, band, phi):
+        direction = (math.cos(phi), math.sin(phi))
+        cells = [((q1, q2), (q1, q2), direction)
+                 for q2 in np.linspace(*q2_range, n_points).tolist()]
+        assert_cli_bytes(
+            ["line-cut", "--q1", repr(q1), "--q2-range", csv_args(q2_range),
+             "--n-points", str(n_points), "--direction", csv_args(direction),
+             "--band", str(band)],
+            ["q1", "q2", *CHI_FIELDS], reference_chi_rows(family, band, cells))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(st.just((0.0, 1.0)),
+                  st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0))),
+        st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3),
+        st.lists(st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
+                           st.floats(0.0, 2 * math.pi)), min_size=1, max_size=4),
+        BANDS,
+    )
+    @example((0.0, 0.9), [0.1], [0.0, math.pi / 2], 0)  # a ring through the Dirac EP
+    def test_polar(self, family, center, radii, angles, band):
+        cells = [((r, phi), (center[0] + r * math.cos(phi), center[1] + r * math.sin(phi)),
+                  (-math.cos(phi), -math.sin(phi)))
+                 for r in radii for phi in angles]
+        assert_cli_bytes(
+            ["polar", "--center", csv_args(center), "--radii", csv_args(radii),
+             "--angles", csv_args(angles), "--band", str(band)],
+            ["r", "phi", *CHI_FIELDS], reference_chi_rows(family, band, cells))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5)),
+        st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        st.integers(1, 7),
+        st.floats(1e-3, 0.3),
+        BANDS,
+    )
+    @example(0.0, (1.0, 1.5), 6, 0.05, 0)  # from the Dirac EP across the exceptional line
+    def test_straddle(self, family, q1, q2_range, n_points, delta, band):
+        d = Displacement((0.0, 1.0), delta)
+        rows = []
+        for q2 in np.linspace(*q2_range, n_points).tolist():
+            try:
+                f = fidelity(family, band, (q1, q2), d)
+                fields = [repr(f.value.real), repr(f.value.imag), "ok"]
+            except tuple(STATUS_OF) as err:
+                fields = [None, None, STATUS_OF[type(err)]]
+            rows.append([repr(q1), repr(q2), repr(delta), band, *fields])
+        assert_cli_bytes(
+            ["straddle", "--q1", repr(q1), "--q2-range", csv_args(q2_range),
+             "--n-points", str(n_points), "--delta", repr(delta), "--band", str(band)],
+            STRADDLE_HEADER, rows)
+
+    @pytest.mark.parametrize("args,ok,broken", [
+        (["chi-scan", "--box", "-0.1,0.1,0.9,1.1", "--resolution", "3,3"], 8, 1),
+        (["chi-scan", "--box", "-0.3,0.3,0.7,1.3", "--resolution", "5,5"], 24, 1),
+        (["line-cut", "--q2-range", "0.9,1.1", "--n-points", "3"], 2, 1),
+        (["polar", "--center", "0,0.9", "--radii", "0.1", "--angles", "0,1.5707963267948966"],
+         1, 1),
+        (["straddle", "--q2-range", "1,1.5", "--n-points", "6"], 5, 1),
+    ])
+    def test_examples_hold_breakdown_rows(self, runner, tmp_path, args, ok, broken):
+        # The explicit examples above do reach the Dirac EP.
+        out = tmp_path / "out.csv"
+        run_ok(runner, args + ["--out", str(out)])
+        _, rows = read_csv(out)
+        assert [r[-1] for r in rows].count("ok") == ok
+        assert [r[-1] for r in rows].count("ep_breakdown") == broken
 
 
 class TestEpLocate:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 
 import mpmath
 import numpy as np
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 
 from nhgeom import (
     BandAmbiguityError,
-    BiorthogonalEigensystem,
     Displacement,
     NormalizationBreakdownError,
+    ScanCell,
+    Sweep,
     Phase,
     classify_phase,
     eigendecompose,
     fidelity,
     grid_scan,
+    line_scan,
     polar_sweep,
     straddle_fidelity,
     susceptibility,
@@ -102,13 +106,7 @@ class TestFidelity:
             lefts = disp.lefts.copy()
             rights[:, 1] = c * rights[:, 1]
             lefts[1] = lefts[1] / c
-            scaled = BiorthogonalEigensystem(
-                energies=disp.energies,
-                rights=rights,
-                lefts=lefts,
-                residuals=disp.residuals,
-                condition_flags=disp.condition_flags,
-            )
+            scaled = dataclasses.replace(disp, rights=rights, lefts=lefts)
             assert abs(fidelity_from_systems(ref, scaled, 1, 1) - base) < 1e-12
 
     def test_reality_in_unbroken_phase(self, family, rng):
@@ -468,6 +466,70 @@ class TestGridScan:
             got = (cell.value.real, cell.value.imag, cell.error_estimate)
             want = (res.value.real, res.value.imag, res.error_estimate)
             assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def pointwise_cell(family, band, coords, point, direction):
+    """The ScanCell a one-point `susceptibility` call gives."""
+    try:
+        res = susceptibility(family, band, point, direction)
+    except NormalizationBreakdownError:
+        return ScanCell(coords, band, "ep_breakdown", None, None)
+    return ScanCell(coords, band, "ok", res.value, res.error_estimate)
+
+
+class TestSweep:
+    def test_grid_is_a_sequence_of_pointwise_cells(self, family):
+        direction = (0.6, 0.8)
+        sweep = grid_scan(family, (-0.1, 0.1, 0.9, 1.1), (3, 3), 1, direction)
+        assert isinstance(sweep, Sweep) and isinstance(sweep, Sequence)
+        cells = list(sweep)
+        assert len(sweep) == len(cells) == 9
+        want = [pointwise_cell(family, 1, (q1, q2), (q1, q2), direction)
+                for q2 in (0.9, 1.0, 1.1) for q1 in (-0.1, 0.0, 0.1)]
+        assert cells == want
+        assert {c.status for c in cells} == {"ok", "ep_breakdown"}
+        assert [sweep[k] for k in range(-9, 0)] == cells
+        assert sweep[4] == sweep[-5] == want[4]
+        assert sweep[1:7:2] == want[1:7:2]
+        assert sweep[::-1] == list(reversed(sweep)) == want[::-1]
+        assert sweep.index(want[4]) == 4 and want[8] in sweep
+        again = grid_scan(family, (-0.1, 0.1, 0.9, 1.1), (3, 3), 1, direction)
+        assert sweep == again == want and want == sweep and sweep[:] == sweep
+        assert sweep != want[:-1] and sweep != tuple(want)
+        assert sweep != grid_scan(family, (-0.1, 0.1, 0.9, 1.1), (3, 3), 0, direction)
+        for k in (9, -10):
+            with pytest.raises(IndexError):
+                sweep[k]
+
+    def test_polar_cells_run_over_angles_fastest(self, family):
+        radii, angles = [0.1, 0.25], [0.0, 1.0, 2.5]
+        sweep = polar_sweep(family, (0.0, 1.0), radii, angles, 0)
+        want = [pointwise_cell(family, 0, (r, phi),
+                               (r * math.cos(phi), 1.0 + r * math.sin(phi)),
+                               (-math.cos(phi), -math.sin(phi)))
+                for r in radii for phi in angles]
+        assert len(sweep) == 6
+        assert list(sweep) == want
+        assert sweep[-1] == want[-1]
+        assert sweep.coordinates() == [[0.1] * 3 + [0.25] * 3, angles * 2]
+
+    def test_straddle_cells_equal_pointwise_fidelity(self, family):
+        q2s = [0.0, 0.5, 1.0, 1.2]
+        sweep = straddle_fidelity(family, 0, q2s, 0.05, q1=-0.0)
+        d = Displacement((0.0, 1.0), 0.05)
+        for k, q2 in enumerate(q2s):
+            try:
+                want = ScanCell((-0.0, q2), 0, "ok", fidelity(family, 0, (-0.0, q2), d).value, 0.0)
+            except NormalizationBreakdownError:
+                want = ScanCell((-0.0, q2), 0, "ep_breakdown", None, None)
+            assert sweep[k] == want
+            assert math.copysign(1, sweep[k].coords[0]) == -1
+        assert [c.status for c in sweep] == ["ok", "ok", "ep_breakdown", "ok"]
+
+    def test_line_scan_of_no_points_is_empty(self, family):
+        sweep = line_scan(family, 0.3, [], 0, (0.0, 1.0))
+        assert len(sweep) == 0 and list(sweep) == []
+        assert sweep.coordinates() == [[], []]
 
 
 class TestPolarSweep:

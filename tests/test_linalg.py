@@ -12,7 +12,7 @@ from nhgeom import (
     null_space,
     solve_linear,
 )
-from nhgeom.linalg import BREAKDOWN_TOL
+from nhgeom.linalg import BREAKDOWN_TOL, BiorthogonalEigensystem
 
 from conftest import sorted_complex
 
@@ -78,7 +78,20 @@ class TestEigendecompose:
         for i in range(3):
             r = np.linalg.norm(h @ sys.rights[:, i] - sys.energies[i] * sys.rights[:, i])
             assert r <= TOL_RESID * matrix_scale(h)
-            assert sys.residuals[i] <= TOL_RESID * matrix_scale(h)
+            assert sys.residuals()[i] <= TOL_RESID * matrix_scale(h)
+
+    def test_residuals_keep_the_decomposed_matrix(self, family):
+        h = family.matrix((0.4, 0.7))
+        sys = eigendecompose(h)
+        before = sys.residuals()
+        h[0, 0] += 1.0
+        assert np.array_equal(sys.residuals(), before)
+
+    def test_matrix_is_keyword_only(self, family):
+        sys = eigendecompose(family.matrix((0.4, 0.7)))
+        fields = (sys.energies, sys.rights, sys.lefts, sys.residuals(), sys.condition_flags)
+        with pytest.raises(TypeError):
+            BiorthogonalEigensystem(*fields)
 
     def test_random_matrices_match_charpoly_roots(self, rng):
         for _ in range(50):
@@ -124,8 +137,9 @@ class TestStackedEigendecompose:
         assert not stack.breakdown.any()
         for k, p in enumerate(points):
             one = eigendecompose(family.matrix(p))
-            for field in ("energies", "rights", "lefts", "residuals", "condition_flags"):
+            for field in ("energies", "rights", "lefts", "condition_flags"):
                 assert np.array_equal(getattr(stack, field)[k], getattr(one, field))
+            assert np.array_equal(stack.residuals()[k], one.residuals())
 
     def test_breakdown_is_marked_not_raised(self, family):
         # The Dirac EP (0, 1), and a nilpotent Jordan block, for which eig
