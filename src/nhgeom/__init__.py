@@ -22,8 +22,6 @@ from .linalg import (
     BiorthogonalEigensystem,
     eigendecompose,
     matrix_scale,
-    null_space,
-    solve_linear,
 )
 from .model import (
     HamiltonianFamily,

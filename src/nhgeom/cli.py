@@ -59,6 +59,14 @@ def parse_numbers(text, n=None, name="value", kind=float):
     return vals
 
 
+def parse_finite(text, n, name):
+    """`parse_numbers` for floats that must all be finite."""
+    vals = parse_numbers(text, n, name)
+    if not all(map(math.isfinite, vals)):
+        raise click.UsageError(f"{name} must be finite, got {text!r}")
+    return vals
+
+
 def read_config_file(path):
     cfg = {}
     try:
@@ -293,7 +301,7 @@ def command(name, *options):
 )
 def cmd_spectrum_scan(family, out, fmt, box, resolution):
     """Eigenenergies and PT phase label on a (q1, q2) grid."""
-    q1min, q1max, q2min, q2max = parse_numbers(box, 4, "--box")
+    q1min, q1max, q2min, q2max = parse_finite(box, 4, "--box")
     nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
@@ -332,7 +340,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
 )
 def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
-    boxv = parse_numbers(box, 4, "--box")
+    boxv = parse_finite(box, 4, "--box")
     nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
     if nx < 2 or ny < 2:
         raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
@@ -350,7 +358,7 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
 )
 def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
-    q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
+    q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
     dirv = parse_numbers(direction, 2, "--direction")
     sweep = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
     return write_chi(out, fmt, ["q1", "q2"], sweep)
@@ -365,7 +373,7 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
 )
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
-    q2lo, q2hi = parse_numbers(q2_range, 2, "--q2-range")
+    q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
     if not 0 < delta < math.inf:
         raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
@@ -389,7 +397,7 @@ def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     centerv = parse_numbers(center, 2, "--center")
     radiiv = parse_numbers(radii, None, "--radii")
     if angles is not None:
-        anglesv = parse_numbers(angles, None, "--angles")
+        anglesv = parse_finite(angles, None, "--angles")
         if not anglesv:
             raise click.UsageError("--angles must be nonempty")
     else:

@@ -349,8 +349,8 @@ def polar_sweep(family, center, radii, angles, band):
 
     The displacement direction at polar angle phi is the inward radial
     direction -(cos phi, sin phi), i.e. the fidelity between the states at
-    r and r - dq.  All radii must be positive.  The cells' coords are
-    (r, phi).
+    r and r - dq.  All radii must be positive and all angles finite.  The
+    cells' coords are (r, phi).
     """
     center = as_point(center)
     radii = [float(r) for r in radii]
@@ -359,6 +359,8 @@ def polar_sweep(family, center, radii, angles, band):
         raise ValueError("radii and angles must be nonempty")
     if not all(r > 0 for r in radii):
         raise ValueError(f"all radii must be positive; got {radii}")
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"all angles must be finite; got {angles}")
     cos, sin = [math.cos(phi) for phi in angles], [math.sin(phi) for phi in angles]
     n1, n2 = np.tile(np.array([unit((-c, -s)) for c, s in zip(cos, sin)]).T, len(radii))
     r = np.array(radii)[:, None]

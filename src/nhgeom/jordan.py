@@ -20,7 +20,7 @@ from .errors import (
     NoDoubleEigenvalueError,
     NotDefectiveError,
 )
-from .linalg import matrix_scale, null_space, solve_linear
+from .linalg import as_complex_matrix, matrix_scale
 from .model import as_point
 from .spectral import EPKind, Phase, phase_of
 
@@ -65,7 +65,7 @@ class DispersionDiagnostic:
     a_coefficient: complex  # <phi0| dH(phi) |psi0> in the recorded gauge
     sqrt_coefficient: complex  # predicted Puiseux amplitude 2 sqrt(A/<eta|psi0>)
     splitting_fit: tuple  # (linear slope, sqrt amplitude), raw fit
-    normalized_sqrt_amplitude: float  # sqrt amplitude of the unit-scaled fit
+    normalized_sqrt_amplitude: float  # |sqrt amplitude| over the splitting at FIT_RADII[0]
 
 
 def _canonical_phase(v, tol=1e-12):
@@ -78,11 +78,18 @@ def _canonical_phase(v, tol=1e-12):
 def jordan_chain(h, energy):
     """Right and left Jordan chains of `h` at the double eigenvalue `energy`.
 
-    Raises NoDoubleEigenvalueError if fewer than two eigenvalues fall in
-    the degeneracy window around `energy`, NotDefectiveError if the
-    degeneracy is diagonalizable (two-dimensional kernel).
+    All four vectors come from one SVD of A = H - E: psi0 and phi0 are the
+    singular vectors of its smallest singular value, chi and eta the
+    minimum-norm solutions of A chi = psi0 and eta A = phi0.
+
+    Raises DimensionMismatchError or NonFiniteError for an `h` that is not
+    one finite square matrix, NoDoubleEigenvalueError if fewer than two
+    eigenvalues fall in the degeneracy window around `energy`, and
+    NotDefectiveError unless exactly one singular value of A is at most
+    KERNEL_RANK_TOL s[0] (A is square: its left and right kernels have
+    equal dimension).
     """
-    h = np.asarray(h, dtype=complex)
+    h = as_complex_matrix(h)
     scale = matrix_scale(h)
     w = np.linalg.eigvals(h)
     close = np.abs(w - energy) <= DOUBLE_EV_TOL * scale
@@ -93,24 +100,22 @@ def jordan_chain(h, energy):
         )
 
     a = h - energy * np.eye(h.shape[0])
-    kernel = null_space(a, rank_tol=KERNEL_RANK_TOL)
-    if len(kernel) != 1:
+    u, s, vh = np.linalg.svd(a)
+    nullity = np.count_nonzero(s <= KERNEL_RANK_TOL * s[0])
+    if nullity != 1:
         raise NotDefectiveError(
-            f"kernel of (H - E) is {len(kernel)}-dimensional: the degeneracy "
-            "is diagonalizable" if len(kernel) > 1 else
+            f"kernel of (H - E) is {nullity}-dimensional: the degeneracy "
+            "is diagonalizable" if nullity > 1 else
             "no numerical kernel at the given energy"
         )
-    psi0 = _canonical_phase(kernel[0])
-
-    chi, _ = solve_linear(a, psi0)
+    # 1/s, with 0 for the singular values that lstsq(rcond=1e-12) drops.
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s[0])
+    psi0 = _canonical_phase(vh[-1].conj())
+    chi = vh.conj().T @ (s_inv * (u.conj().T @ psi0))
     chi = chi - (psi0.conj() @ chi) * psi0
 
-    left_kernel = null_space(a.conj().T, rank_tol=KERNEL_RANK_TOL)
-    if len(left_kernel) != 1:
-        raise NotDefectiveError("left kernel dimension != 1")
-    phi0 = _canonical_phase(left_kernel[0]).conj()  # row covector
-    eta_col, _ = solve_linear(a.conj().T, phi0.conj())
-    eta = eta_col.conj()
+    phi0 = _canonical_phase(u[:, -1]).conj()  # row covector
+    eta = (u @ (s_inv * (vh @ phi0.conj()))).conj()
 
     # Fix the chain gauge: scale the left pair so <eta|psi0> = 1.
     c = complex(eta @ psi0)
@@ -175,8 +180,8 @@ def sqrt_coefficient(family, ep, phi):
     Combines the analytic defective-channel element <phi0|dH(phi)|psi0>
     (gauge fixed by <eta|psi0> = 1, so the predicted Puiseux splitting is
     2 sqrt(A r)) with a numerical fit of the eigenvalue splitting over
-    FIT_RADII.  The normalized sqrt amplitude refits the splitting scaled
-    by its value at the largest radius.  A per-direction diagnostic:
+    FIT_RADII.  The normalized sqrt amplitude is the fit's sqrt amplitude
+    over the splitting at the largest radius.  A per-direction diagnostic:
     `classify_ep` reads the chain elements alone.
     """
     return _dispersion(family, ep, jordan_chain(family.matrix(ep.point), ep.coalesced_energy), phi)
@@ -195,17 +200,15 @@ def _dispersion(family, ep, chain, phi):
     d = np.subtract.reduce(np.take_along_axis(w, idx, axis=-1), axis=-1)
     values = np.hypot(d.real, d.imag)
     lin, sq = _fit_splitting(FIT_RADII, values)
+    # Least squares is linear in its data: the fit of the splitting scaled
+    # by its value at the largest radius is the raw fit over that value.
     s_ref = values[0]
-    if s_ref > 0:
-        _, sq_norm = _fit_splitting(FIT_RADII, values / s_ref)
-    else:
-        sq_norm = 0.0
     return DispersionDiagnostic(
         angle=float(phi),
         a_coefficient=a_val,
         sqrt_coefficient=predicted,
         splitting_fit=(lin, sq),
-        normalized_sqrt_amplitude=abs(sq_norm),
+        normalized_sqrt_amplitude=abs(sq / s_ref) if s_ref > 0 else 0.0,
     )
 
 

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for small non-Hermitian matrices.
 
-Provides eigendecomposition with matched, biorthogonally normalized
-left/right eigenvector pairs, minimum-norm linear solves, and numerical
-null spaces.
+Provides input validation, norms, the band order and eigendecomposition
+with matched, biorthogonally normalized left/right eigenvector pairs, of
+one matrix or of a stack.
 
 All routines operate on plain numpy arrays (complex dtype) of dimension
-N <= 16 and are pure functions: safe for concurrent use.
+n <= 16 and are pure functions: safe for concurrent use.
 """
 
 import functools
@@ -173,33 +173,3 @@ def eigendecompose(h):
             overlaps=overlaps[0],
         )
     return BiorthogonalEigensystem(w[0], rights[0], lefts[0], flags[0], matrix=h.copy())
-
-
-def solve_linear(a, b, rank_tol=1e-12):
-    """Solve a x = b; returns (x, residual_norm).
-
-    For singular `a` the minimum-norm least-squares solution is returned
-    and the achieved residual reported instead of raising.
-    """
-    a = as_complex_matrix(a)
-    b = np.asarray(b, dtype=complex).ravel()
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(f"expected length {a.shape[0]}, got {b.shape[0]}")
-    if not (np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))):
-        raise NonFiniteError("vector contains NaN or Inf")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=rank_tol)
-    resid = np.linalg.norm(a @ x - b)
-    return x, resid
-
-
-def null_space(a, rank_tol=1e-10):
-    """Orthonormal basis (list of vectors) of the numerical kernel of `a`.
-
-    Singular directions with singular value <= rank_tol * ||a||_2 are kept;
-    the zero matrix yields the full standard basis, full-rank input an
-    empty list.
-    """
-    a = as_complex_matrix(a)
-    _, s,vh = np.linalg.svd(a)
-    thresh = rank_tol * (s[0] if s.size else 0.0)
-    return [vh[i].conj() for i in range(a.shape[0]) if s[i] <= thresh]

@@ -75,12 +75,14 @@ class HamiltonianFamily:
 
 
 def _nv_matrix(p):
+    # Filling a zeroed C-order array gives one matrix and each matrix of a
+    # stack the same bytes, with +0.0 in the structural zeros.
     q1, q2 = p
-    z = 0.0 * q1 + 0.0  # 0.0 * q1 alone is -0.0 for negative q1
-    h = np.array([[3 + 2 * q1, 1 - q2, z], [1 + q2, z, 1 - q2], [z, 1 + q2, 3 - 2 * q1]],
-                 dtype=complex)
-    # A stack in C order sums each matrix in the same order as one matrix.
-    return h if h.ndim == 2 else np.ascontiguousarray(np.moveaxis(h, (0, 1), (-2, -1)))
+    h = np.zeros(np.shape(q1) + (3, 3), dtype=complex)
+    h[..., 0, 0], h[..., 2, 2] = 3 + 2 * q1, 3 - 2 * q1
+    h[..., 0, 1] = h[..., 1, 2] = 1 - q2
+    h[..., 1, 0] = h[..., 2, 1] = 1 + q2
+    return h
 
 
 def nv_hamiltonian(p):

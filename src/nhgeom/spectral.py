@@ -201,8 +201,9 @@ def find_ep_on_segment(family, a, b):
     touching zero, as at the Dirac EP, which lies inside the PT-unbroken
     phase).  A sign change within the fit's root resolution of a touching
     zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
-    split by noise and gives way to it.  Of the remaining candidates the
-    one with the smallest eigenvalue gap is returned, as an EPLocation;
+    split by noise and gives way to it.  The remaining candidates are
+    ranked by one stacked `eigvals`, and the first with the smallest
+    eigenvalue gap is returned, as an EPLocation;
     `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when
     there is no candidate, and ValueError for a family that is not 3x3.
     """
@@ -236,15 +237,12 @@ def find_ep_on_segment(family, a, b):
             f"the discriminant on segment {a} -> {b} neither changes sign nor "
             f"touches zero within {TOUCH_NOISE_FACTOR} x its fit noise {noise:.3e}"
         )
-    best = None
-    for x in candidates:
-        point = point_at(x)
-        w = np.linalg.eigvals(family.matrix(point))
-        gap, i, j = closest_pair(w)
-        if best is None or gap < best[0]:
-            best = (gap, point, complex(w[[i, j]].mean()))
-    _, point, energy = best
-    return ep_at(family, point, energy)
+    points = point_at(candidates)
+    w = np.linalg.eigvals(family.matrices(*points))
+    gaps, i, j = closest_pair(w)
+    k = gaps.argmin()  # the first smallest gap
+    energy = complex(w[k, [i[k], j[k]]].mean())
+    return ep_at(family, ParameterPoint(points.q1[k], points.q2[k]), energy)
 
 
 def _real_roots(c):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -365,6 +366,18 @@ class TestPolar:
         result = runner.invoke(main, ["polar", "--angles", angles, "--out", str(out)])
         assert result.exit_code == 2
         assert "--angles must be nonempty" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("angles", ["inf", "-inf", "nan", "0,nan"])
+    def test_non_finite_angles_exit_2(self, runner, tmp_path, angles, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("polar_sweep called")
+
+        monkeypatch.setattr("nhgeom.cli.polar_sweep", no_work)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["polar", "--angles", angles, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--angles must be finite" in result.output
         assert not out.exists()
 
 
@@ -793,6 +806,24 @@ def test_bad_direction_exits_3(runner, tmp_path, command, direction, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("chi-scan", "--box", "0,1,0,inf"),
+    ("spectrum-scan", "--box", "nan,1,0,1"),
+    ("line-cut", "--q2-range", "0,inf"),
+    ("straddle", "--q2-range", "-inf,1"),
+])
+def test_non_finite_range_exits_2(runner, tmp_path, command, flag, value):
+    # A usage error, found before numpy sees the value: no warning leaks.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [command, *BASE_ARGS[command], flag, value,
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{flag} must be finite" in result.output
+    assert not out.exists()
+
+
 FLAG_VALUES = {"--band": "0", "--workers": "1", "--step-h": "0.001", "--format": "csv"}
 IGNORED_FLAGS = [
     ("spectrum-scan", "--band"),
@@ -845,3 +876,36 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# The README's 8 commands and the sha256 of each data file, as written with
+# numpy 2.4 on x86-64.  Any change to these bytes must be stated in
+# CHANGES.md with its numerical diff, and the digest updated here.
+README_OUTPUTS = {
+    "spectrum.csv": (["spectrum-scan", "--box", "-2,2,0,2", "--resolution", "101,101"],
+                     "4dbc6c5165f1c5fd533f02174de6ddfee63dd8293379d334c78b556f3c40fe49"),
+    "chi.csv": (["chi-scan", "--box", "-1.5,1.5,0,2", "--resolution", "41,41"],
+                "2200ebda51787d414e091a3e9c418c338c9eb79465dd6f7e2a4e115dad11b40b"),
+    "cut.csv": (["line-cut", "--q1", "0", "--q2-range", "0,0.99", "--n-points", "200"],
+                "70965e7edf2221d2435c24d612707f6c8bec3e6efaff144b4b1d47837f3dbcf9"),
+    "straddle.csv": (["straddle", "--q2-range", "1.2,1.43", "--n-points", "51",
+                      "--delta", "0.05"],
+                     "6527ce4599db4997c89f54345a14c1a086915bb41148f011abb6a3352b8535d4"),
+    "polar.csv": (["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
+                  "19bd4382defc0f1e84ab0fb908b281130d3611dc0de2c42d63342a2829dbfaed"),
+    "dirac.json": (["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
+                   "ec3ebb24b1daa98c7cd8650764b2059da3fc585dbecafa7d60f3e42bf73f0981"),
+    "line.csv": (["trace-line", "--segment", "0,1.2,0,1.7", "--step", "0.05",
+                  "--max-points", "40"],
+                 "5a39017d7f3473020e22f6759af1e92c3aad49f8e958017757f2ed8b9357d870"),
+    "chain.json": (["jordan", "--point", "0,1"],
+                   "cfe5f9dc78992421af15413d4a296b189a542c4991b55f0191332b5822aaed3d"),
+}
+
+
+@pytest.mark.parametrize("name", README_OUTPUTS)
+def test_readme_output_bytes(runner, tmp_path, name):
+    args, digest = README_OUTPUTS[name]
+    out = tmp_path / name
+    run_ok(runner, args + ["--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -553,6 +553,11 @@ class TestPolarSweep:
             with pytest.raises(ValueError):
                 polar_sweep(family, (0.0, 1.0), [0.1, radius], [0.0], 0)
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, family, angle):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            polar_sweep(family, (0.0, 1.0), [0.1], [0.0, angle], 0)
+
 
 class TestStraddle:
     def test_converges_to_half(self, family):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from nhgeom import (
     EPKind,
     HamiltonianFamily,
     NoDoubleEigenvalueError,
+    NonFiniteError,
     NotDefectiveError,
     ParameterPoint,
     a_coefficient,
@@ -53,6 +55,43 @@ class TestJordanChain:
         assert abs(dirac_chain.phi0[0]) > 1.0
         assert np.allclose(dirac_chain.phi0[1:], 0.0, atol=1e-12)
 
+    def test_dirac_chain_closed_form(self, dirac_chain):
+        # A = H(0,1) - 3 has rows (0, 0, 0), (2, -3, 0), (0, 2, 0).  Right:
+        # psi0 = e3 and the minimum-norm chi solves 2x - 3y = 0, 2y = 1.
+        # Left: phi0 ~ e1, and eta A = phi0 gives eta ~ (0, 1/2, 3/4); the
+        # gauge <eta|psi0> = 1 scales both by 4/3.
+        expected = {
+            "psi0": [0, 0, 1],
+            "chi": [3 / 4, 1 / 2, 0],
+            "phi0": [4 / 3, 0, 0],
+            "eta": [0, 2 / 3, 1],
+        }
+        for name, vector in expected.items():
+            assert np.abs(getattr(dirac_chain, name) - vector).max() <= 1e-14, name
+
+    def test_one_svd_and_no_lstsq(self, family, monkeypatch):
+        calls = Counter()
+        for name in ("svd", "lstsq"):
+            inner = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        jordan_chain(family.matrix((0.0, 1.0)), 3.0)
+        assert calls == {"svd": 1}
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            jordan_chain(np.zeros((2, 3, 3)), 0.0)
+
+    def test_rejects_a_non_finite_matrix(self, family):
+        h = family.matrix((0.0, 1.0))
+        h[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            jordan_chain(h, 3.0)
+
     def test_dirac_chain_residuals(self, dirac_chain):
         assert max(dirac_chain.residuals) <= 1e-9
 
@@ -72,6 +111,20 @@ class TestJordanChain:
     def test_diagonalizable_degeneracy(self):
         with pytest.raises(NotDefectiveError):
             jordan_chain(np.diag([3.0, 3.0, 0.0]), 3.0)
+
+    def test_zero_matrix_is_not_defective(self):
+        # Every singular value is 0 = KERNEL_RANK_TOL s[0]: a 3-dimensional
+        # kernel, found with no division by a zero singular value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotDefectiveError, match="3-dimensional"):
+                jordan_chain(np.zeros((3, 3)), 0.0)
+
+    def test_no_numerical_kernel(self):
+        # Two eigenvalues within DOUBLE_EV_TOL of E, but A = H - E has full
+        # numerical rank: singular values 3, 5e-8, 5e-8 against 1e-8 * 3.
+        with pytest.raises(NotDefectiveError, match="no numerical kernel"):
+            jordan_chain(np.diag([3.0, 3.0 + 1e-7, 0.0]), 3.0 + 5e-8)
 
     def test_no_double_eigenvalue(self, family):
         with pytest.raises(NoDoubleEigenvalueError):
@@ -139,6 +192,25 @@ class TestSqrtCoefficient:
         assert diag.splitting_fit[1] == pytest.approx(
             abs(diag.sqrt_coefficient), rel=1e-3
         )
+
+    def test_one_fit_per_direction(self, family, conventional_ep, monkeypatch):
+        fits = []
+        inner = np.linalg.lstsq
+
+        def recorded(design, values, **kwargs):
+            fits.append(values)
+            return inner(design, values, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recorded)
+        diag = sqrt_coefficient(family, conventional_ep, np.pi / 2)
+        assert len(fits) == 1
+        # The normalised amplitude is the fit of the splitting scaled by
+        # its value at the largest radius.
+        monkeypatch.undo()
+        design = np.column_stack([np.array(jordan.FIT_RADII) ** p for p in jordan.FIT_POWERS])
+        coef = np.linalg.lstsq(design, fits[0] / fits[0][0], rcond=None)[0]
+        sqrt_amp = coef[jordan.FIT_POWERS.index(0.5)]
+        assert diag.normalized_sqrt_amplitude == pytest.approx(abs(sqrt_amp), rel=1e-12)
 
     def test_dirac_cone_slope_q1(self, family, dirac_ep):
         # splitting along q1 is 4|q1| (eigenvalues 3 +/- 2 q1): check the

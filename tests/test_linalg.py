@@ -9,8 +9,6 @@ from nhgeom import (
     NormalizationBreakdownError,
     eigendecompose,
     matrix_scale,
-    null_space,
-    solve_linear,
 )
 from nhgeom.linalg import BREAKDOWN_TOL, BiorthogonalEigensystem
 
@@ -169,43 +167,4 @@ class TestStackedEigendecompose:
     def test_single_matrix_rejects_higher_rank_input(self):
         with pytest.raises(DimensionMismatchError):
             eigendecompose(np.zeros((2, 2, 3, 3)))
-        with pytest.raises(DimensionMismatchError):
-            null_space(np.zeros((2, 3, 3)))
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        x, resid = solve_linear(np.eye(3), [1.0, 2.0j, 0.0])
-        assert np.allclose(x, [1.0, 2.0j, 0.0], atol=1e-14)
-        assert resid <= 1e-14
-
-    def test_singular_minimum_norm(self, family):
-        # (H(0,1) - 3) chi = psi0 reduces to 2x1 - 3x2 = 0, 2x2 = 1
-        a = family.matrix((0.0, 1.0)) - 3.0 * np.eye(3)
-        x, resid = solve_linear(a, [0.0, 0.0, 1.0])
-        assert resid <= 1e-12
-        assert np.allclose(x, [0.75, 0.5, 0.0], atol=1e-12)
-
-    def test_zero_matrix(self):
-        x, resid = solve_linear(np.zeros((3, 3)), np.zeros(3))
-        assert np.allclose(x, 0.0, atol=1e-15)
-        assert resid == 0.0
-
-
-class TestNullSpace:
-    def test_dirac_kernel(self, family):
-        a = family.matrix((0.0, 1.0)) - 3.0 * np.eye(3)
-        basis = null_space(a)
-        assert len(basis) == 1
-        v = basis[0]
-        assert abs(abs(v[2]) - 1.0) <= 1e-12
-        assert np.allclose(v[:2], 0.0, atol=1e-12)
-
-    def test_identity_full_rank(self):
-        assert null_space(np.eye(4)) == []
-
-    def test_zero_matrix(self):
-        basis = null_space(np.zeros((3, 3)))
-        assert len(basis) == 3
-        g = np.array(basis)
-        assert np.allclose(g @ g.conj().T, np.eye(3), atol=1e-12)

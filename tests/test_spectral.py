@@ -117,7 +117,7 @@ class TestStackedDiscriminant:
         )
         monkeypatch.setattr(spectral, "discriminant", counted("discriminant", discriminant))
         find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
-        assert calls == {"matrices": 1}
+        assert calls == {"matrices": 2}  # the nodes, then the candidates
 
 
 class TestFindEP:
