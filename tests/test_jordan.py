@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -111,14 +110,6 @@ class TestJordanChain:
     def test_diagonalizable_degeneracy(self):
         with pytest.raises(NotDefectiveError):
             jordan_chain(np.diag([3.0, 3.0, 0.0]), 3.0)
-
-    def test_zero_matrix_is_not_defective(self):
-        # Every singular value is 0 = KERNEL_RANK_TOL s[0]: a 3-dimensional
-        # kernel, found with no division by a zero singular value.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotDefectiveError, match="3-dimensional"):
-                jordan_chain(np.zeros((3, 3)), 0.0)
 
     def test_no_numerical_kernel(self):
         # Two eigenvalues within DOUBLE_EV_TOL of E, but A = H - E has full

@@ -7,7 +7,9 @@ from nhgeom import (
     DimensionMismatchError,
     NonFiniteError,
     NormalizationBreakdownError,
+    NotDefectiveError,
     eigendecompose,
+    jordan_chain,
     matrix_scale,
 )
 from nhgeom.linalg import BREAKDOWN_TOL, BiorthogonalEigensystem
@@ -168,3 +170,41 @@ class TestStackedEigendecompose:
         with pytest.raises(DimensionMismatchError):
             eigendecompose(np.zeros((2, 2, 3, 3)))
 
+
+# The kernel and the minimum-norm solves of A = H - E are taken from one
+# SVD inside jordan_chain; these tests check them through its chain.
+class TestSolveLinear:
+    def test_singular_minimum_norm(self, family):
+        # (H(0,1) - 3) chi = psi0 reduces to 2x1 - 3x2 = 0, 2x2 = 1; the
+        # minimum-norm solution has no component along the kernel e3.
+        chain = jordan_chain(family.matrix((0.0, 1.0)), 3.0)
+        assert chain.residuals[1] <= 1e-12
+        assert np.allclose(chain.chi, [0.75, 0.5, 0.0], atol=1e-12)
+        assert abs(chain.psi0.conj() @ chain.chi) <= 1e-12
+
+    def test_zero_matrix(self, family):
+        # The solve divides by no zero singular value: neither for the zero
+        # matrix (every singular value is 0) nor for the Dirac A, whose
+        # smallest singular value is exactly 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotDefectiveError):
+                jordan_chain(np.zeros((3, 3)), 0.0)
+            a = family.matrix((0.0, 1.0)) - 3.0 * np.eye(3)
+            assert np.linalg.svd(a, compute_uv=False)[-1] == 0.0
+            chain = jordan_chain(family.matrix((0.0, 1.0)), 3.0)
+        assert np.all(np.isfinite(chain.chi)) and np.all(np.isfinite(chain.eta))
+
+
+class TestNullSpace:
+    def test_dirac_kernel(self, family):
+        chain = jordan_chain(family.matrix((0.0, 1.0)), 3.0)
+        v = chain.psi0
+        assert abs(abs(v[2]) - 1.0) <= 1e-12
+        assert np.allclose(v[:2], 0.0, atol=1e-12)
+        assert chain.residuals[0] <= 1e-12
+
+    def test_zero_matrix(self):
+        # The kernel of the zero matrix is all of C^3.
+        with pytest.raises(NotDefectiveError, match="3-dimensional"):
+            jordan_chain(np.zeros((3, 3)), 0.0)
