@@ -27,15 +27,14 @@ from . import __version__
 from .errors import NhgeomError
 from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import band_order, matrix_scale
-from .model import ParameterPoint, get_family
-from .jordan import _dispersion, classify_ep, jordan_chain
+from .model import get_family
+from .jordan import _classify, _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
     Phase,
     _discriminant,
     closest_pair,
     discriminant,
-    ep_at,
     find_ep_on_segment,
     phase_of,
     trace_exceptional_line,
@@ -358,6 +357,8 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
 )
 def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
+    if not math.isfinite(q1):
+        raise click.UsageError(f"--q1 must be finite, got {q1}")
     q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
     dirv = parse_numbers(direction, 2, "--direction")
     sweep = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
@@ -374,6 +375,8 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
     q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
+    if not math.isfinite(q1):
+        raise click.UsageError(f"--q1 must be finite, got {q1}")
     if not 0 < delta < math.inf:
         raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
@@ -406,6 +409,8 @@ def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
         raise click.UsageError("--radii must be nonempty")
     if not all(r > 0 for r in radiiv):
         raise click.UsageError(f"all radii must be positive, got {radii!r}")
+    if not all(map(math.isfinite, radiiv)):
+        raise click.UsageError(f"--radii must be finite, got {radii!r}")
     sweep = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
     return write_chi(out, fmt, ["r", "phi"], sweep)
 
@@ -457,7 +462,7 @@ def cmd_ep_locate(family, out, fmt, segment):
 def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
     a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
-    boxv = parse_numbers(box, 4, "--box")
+    boxv = parse_finite(box, 4, "--box")
     if not (math.isfinite(step) and step != 0):
         raise click.UsageError(f"--step must be finite and nonzero, got {step}")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
@@ -495,9 +500,9 @@ def cmd_jordan(family, out, point, energy, n_angles):
         _, i, j = closest_pair(w)
         ev = complex((w[i] + w[j]) / 2)
     chain = jordan_chain(h, ev)
-    ep = ep_at(family, ParameterPoint(q1, q2), ev)
-    diags = [_dispersion(family, ep, chain, 2 * math.pi * k / n_angles) for k in range(n_angles)]
-    kind = classify_ep(family, ep)
+    diags = [_dispersion(family, (q1, q2), chain, 2 * math.pi * k / n_angles)
+             for k in range(n_angles)]
+    kind = _classify(family, (q1, q2), chain)
     return write_record(out, {
         "point": [q1, q2],
         "energy": [ev.real, ev.imag],

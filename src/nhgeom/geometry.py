@@ -376,10 +376,8 @@ def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
     (conjugate-pair ties resolved toward smaller, then positive, Im E).
     Returns a Sweep whose cells' coords are (q1, q2).
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    d = Displacement((0.0, 1.0), float(delta))
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     q2 = np.asarray(q2_values, dtype=float).ravel()
     q1 = np.full(q2.shape, float(q1))
-    q1b, q2b = q1 + d.magnitude * d.direction[0], q2 + d.magnitude * d.direction[1]
-    return Sweep((q1[:1], q2), 0, band, *_fidelities(family, band, q1, q2, q1b, q2b))
+    return Sweep((q1[:1], q2), 0, band, *_fidelities(family, band, q1, q2, q1, q2 + float(delta)))

@@ -165,15 +165,6 @@ def _ring(family, center, radii, angles):
     )
 
 
-def _fit_splitting(radii, values):
-    rs = np.asarray(radii, dtype=float)
-    design = np.column_stack([rs ** p for p in FIT_POWERS])
-    coef, _, _, _ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
-    sqrt_amp = float(coef[FIT_POWERS.index(0.5)])
-    lin_slope = float(coef[FIT_POWERS.index(1.0)])
-    return lin_slope, sqrt_amp
-
-
 def sqrt_coefficient(family, ep, phi):
     """Dispersion diagnostic at a located EP along direction `phi`.
 
@@ -184,22 +175,25 @@ def sqrt_coefficient(family, ep, phi):
     over the splitting at the largest radius.  A per-direction diagnostic:
     `classify_ep` reads the chain elements alone.
     """
-    return _dispersion(family, ep, jordan_chain(family.matrix(ep.point), ep.coalesced_energy), phi)
+    chain = jordan_chain(family.matrix(ep.point), ep.coalesced_energy)
+    return _dispersion(family, ep.point, chain, phi)
 
 
-def _dispersion(family, ep, chain, phi):
-    """`sqrt_coefficient` at `ep` along `phi`, from its Jordan chain `chain`."""
-    dh = family.directional_derivative(ep.point, phi)
+def _dispersion(family, point, chain, phi):
+    """`sqrt_coefficient` at `point` along `phi`, from its Jordan chain `chain`."""
+    dh = family.directional_derivative(point, phi)
     a_val = a_coefficient(chain, dh)
     predicted = 2.0 * cmath.sqrt(a_val)
 
-    # |E+ - E-| of the pair nearest the EP energy at each radius; hypot is
-    # bit for bit the complex abs of a numpy scalar.
-    w = np.linalg.eigvals(_ring(family, ep.point, FIT_RADII, [phi] * len(FIT_RADII)))
-    idx = np.argsort(np.abs(w - ep.coalesced_energy), axis=-1)[:, :2]
+    # |E+ - E-| of the pair nearest the chain's energy at each radius; hypot
+    # is bit for bit the complex abs of a numpy scalar.
+    w = np.linalg.eigvals(_ring(family, point, FIT_RADII, [phi] * len(FIT_RADII)))
+    idx = np.argsort(np.abs(w - chain.energy), axis=-1)[:, :2]
     d = np.subtract.reduce(np.take_along_axis(w, idx, axis=-1), axis=-1)
     values = np.hypot(d.real, d.imag)
-    lin, sq = _fit_splitting(FIT_RADII, values)
+    design = np.column_stack([np.asarray(FIT_RADII) ** p for p in FIT_POWERS])
+    coef = np.linalg.lstsq(design, values, rcond=None)[0]
+    lin, sq = float(coef[FIT_POWERS.index(1.0)]), float(coef[FIT_POWERS.index(0.5)])
     # Least squares is linear in its data: the fit of the splitting scaled
     # by its value at the largest radius is the raw fit over that value.
     s_ref = values[0]
@@ -223,14 +217,18 @@ def classify_ep(family, ep):
     conventional.  Raises NotDefectiveError or NoDoubleEigenvalueError as
     `jordan_chain` does.
     """
-    chain = jordan_chain(family.matrix(ep.point), ep.coalesced_energy)
+    return _classify(family, ep.point, jordan_chain(family.matrix(ep.point), ep.coalesced_energy))
+
+
+def _classify(family, point, chain):
+    """`classify_ep` at `point`, from its Jordan chain `chain`."""
     tol = DIRAC_CHAIN_AMP_TOL * np.linalg.norm(chain.phi0) * np.linalg.norm(chain.psi0)
-    for dh in family.gradient(as_point(ep.point)):
+    for dh in family.gradient(as_point(point)):
         # A zero derivative couples nothing: 0 > 0 is false.
         if abs(a_coefficient(chain, dh)) > tol * np.linalg.norm(dh):
             return EPKind.CONVENTIONAL
     angles = [2 * math.pi * k / RING_SAMPLES for k in range(RING_SAMPLES)]
-    ring = _ring(family, ep.point, [NEIGHBOR_RADIUS] * RING_SAMPLES, angles)
+    ring = _ring(family, point, [NEIGHBOR_RADIUS] * RING_SAMPLES, angles)
     labels = phase_of(np.linalg.eigvals(ring), matrix_scale(ring)).label
     if any(label is not Phase.UNBROKEN for label in labels):
         return EPKind.CONVENTIONAL

@@ -171,23 +171,6 @@ def _discriminant_gradient(family, p):
     return grad.real, np.finfo(float).eps * terms
 
 
-def ep_at(family, p, energy):
-    """EPLocation at `p` with its residual gap and eigenvector Gram defect.
-
-    Both come from one eigendecomposition of H(p).  The gap is the
-    smallest pairwise eigenvalue distance; the defect is the smallest
-    singular value of the Gram matrix of the unit right eigenvectors:
-    zero where two of them coincide.
-    """
-    w, v = np.linalg.eig(family.matrix(p))
-    v = v / np.linalg.norm(v, axis=0)[None, :]
-    g = v.conj().T @ v
-    defect = float(np.linalg.svd(g, compute_uv=False)[-1])
-    return EPLocation(
-        point=p, coalesced_energy=energy, gap=float(closest_pair(w)[0]), defect_measure=defect
-    )
-
-
 def find_ep_on_segment(family, a, b):
     """Locate an exceptional point on the parameter segment a -> b.
 
@@ -202,8 +185,11 @@ def find_ep_on_segment(family, a, b):
     phase).  A sign change within the fit's root resolution of a touching
     zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
     split by noise and gives way to it.  The remaining candidates are
-    ranked by one stacked `eigvals`, and the first with the smallest
-    eigenvalue gap is returned, as an EPLocation;
+    ranked by one stacked `eig`, and the first with the smallest
+    eigenvalue gap is returned, as an EPLocation whose evidence comes from
+    the same `eig`: its gap, the mean of the closest pair as its energy,
+    and as its defect the smallest singular value of the Gram matrix of
+    its unit right eigenvectors, zero where two of them coincide;
     `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when
     there is no candidate, and ValueError for a family that is not 3x3.
     """
@@ -238,11 +224,16 @@ def find_ep_on_segment(family, a, b):
             f"touches zero within {TOUCH_NOISE_FACTOR} x its fit noise {noise:.3e}"
         )
     points = point_at(candidates)
-    w = np.linalg.eigvals(family.matrices(*points))
+    w, v = np.linalg.eig(family.matrices(*points))
     gaps, i, j = closest_pair(w)
     k = gaps.argmin()  # the first smallest gap
-    energy = complex(w[k, [i[k], j[k]]].mean())
-    return ep_at(family, ParameterPoint(points.q1[k], points.q2[k]), energy)
+    v = v[k] / np.linalg.norm(v[k], axis=0)
+    return EPLocation(
+        point=ParameterPoint(points.q1[k], points.q2[k]),
+        coalesced_energy=complex(w[k, [i[k], j[k]]].mean()),
+        gap=float(gaps[k]),
+        defect_measure=float(np.linalg.svd(v.conj().T @ v, compute_uv=False)[-1]),
+    )
 
 
 def _real_roots(c):

@@ -811,6 +811,10 @@ def test_bad_direction_exits_3(runner, tmp_path, command, direction, message):
     ("spectrum-scan", "--box", "nan,1,0,1"),
     ("line-cut", "--q2-range", "0,inf"),
     ("straddle", "--q2-range", "-inf,1"),
+    ("polar", "--radii", "0.1,inf"),
+    ("line-cut", "--q1", "inf"),
+    ("straddle", "--q1", "nan"),
+    ("trace-line", "--box", "nan,2,0,2"),
 ])
 def test_non_finite_range_exits_2(runner, tmp_path, command, flag, value):
     # A usage error, found before numpy sees the value: no warning leaks.

@@ -23,7 +23,7 @@ from nhgeom import (
 )
 from nhgeom import cli, jordan
 from nhgeom.jordan import DIRAC_CHAIN_AMP_TOL, JordanChain
-from nhgeom.spectral import EPLocation, ep_at
+from nhgeom.spectral import EPLocation
 
 from conftest import reference_double_root, reference_line_q2, segment_through, stacked
 
@@ -229,11 +229,11 @@ class TestSqrtCoefficient:
         out = tmp_path / "chain.json"
         result = CliRunner().invoke(cli.main, ["jordan", "--point", "0,1", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        # One chain for the command's record and its 8 diagnostics, one for
-        # classify_ep.
-        assert calls["jordan_chain"] == 2
+        # One chain for the command's record, its 8 diagnostics and its kind.
+        assert calls["jordan_chain"] == 1
         record = json.loads(out.read_text())
-        ep = ep_at(family, ParameterPoint(0.0, 1.0), complex(*record["energy"]))
+        ep = EPLocation(point=ParameterPoint(0.0, 1.0), coalesced_energy=complex(*record["energy"]),
+                        gap=0.0, defect_measure=0.0)
         assert len(record["dispersion"]) == 8
         for k, row in enumerate(record["dispersion"]):
             diag = sqrt_coefficient(family, ep, 2 * math.pi * k / 8)
@@ -298,7 +298,7 @@ class TestChainAmplitudeClassifier:
             crossing_amps.append(max(
                 chain_amplitudes(family.matrix(point), energy, nv_gradient(point))
             ))
-            ep = ep_at(family, point, energy)
+            ep = EPLocation(point=point, coalesced_energy=energy, gap=0.0, defect_measure=0.0)
             assert classify_ep(family, ep) is EPKind.CONVENTIONAL
         assert max(dirac_amps) <= 1e-12 < DIRAC_CHAIN_AMP_TOL
         assert min(crossing_amps) >= 0.1 > DIRAC_CHAIN_AMP_TOL
@@ -336,7 +336,8 @@ class TestChainAmplitudeClassifier:
                 stacked([[0, 0], [-2 * p.q2, 0]], p),
             ),
         )
-        ep = ep_at(cone, ParameterPoint(0.0, 0.0), 0j)
+        ep = EPLocation(point=ParameterPoint(0.0, 0.0), coalesced_energy=0j,
+                        gap=0.0, defect_measure=0.0)
         assert not np.any(cone.gradient(ep.point))
         assert classify_ep(cone, ep) is EPKind.CONVENTIONAL
 
@@ -357,7 +358,8 @@ class TestChainAmplitudeClassifier:
                 stacked([[0, 0], [2 * p.q2, 0]], p),
             ),
         )
-        ep = ep_at(ellipse, ParameterPoint(0.0, 0.0), 0j)
+        ep = EPLocation(point=ParameterPoint(0.0, 0.0), coalesced_energy=0j,
+                        gap=0.0, defect_measure=0.0)
         dq1, _ = ellipse.gradient(ep.point)
         [amp] = chain_amplitudes(ellipse.matrix(ep.point), 0.0, [dq1])
         assert amp == pytest.approx(eps / math.sqrt(2 + eps ** 2), rel=1e-12)

@@ -139,6 +139,47 @@ class TestFindEP:
         with pytest.raises(EPNotFoundError):
             find_ep_on_segment(family, (0.0, 0.1), (0.0, 0.5))
 
+    def test_evidence_equals_an_eigensolve_at_the_located_point(self, family, rng):
+        # Reference: eig of H rebuilt at the returned point, its closest pair,
+        # and the smallest singular value of the Gram matrix of its unit
+        # right eigenvectors.
+        segments = [
+            segment_through((0.0, 1.0), rng.uniform(0.0, 2 * math.pi), *rng.uniform(0.15, 0.3, 2))
+            for _ in range(60)
+        ]
+        for q1, below, above in zip(rng.uniform(-0.9, 0.9, 60), *rng.uniform(0.1, 0.25, (2, 60))):
+            q2 = float(reference_line_q2(q1))
+            segments.append(((q1, q2 - below), (q1, q2 + above)))
+        for segment in segments:
+            ep = find_ep_on_segment(family, *segment)
+            w, v = np.linalg.eig(family.matrix(ep.point))
+            v = v / np.linalg.norm(v, axis=0)
+            assert ep.gap == float(closest_pair(w)[0])
+            assert ep.defect_measure == float(np.linalg.svd(v.conj().T @ v, compute_uv=False)[-1])
+
+    def test_one_eig_and_no_matrix_call(self, family, monkeypatch):
+        calls = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                # A stack of 3x3 Hamiltonians, or one root-finding companion matrix.
+                calls[name, "stack" if np.ndim(args[-1]) == 3 else "one"] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(
+            HamiltonianFamily, "matrix", counted("matrix", HamiltonianFamily.matrix)
+        )
+        for segment in (((0.0, 0.5), (0.0, 1.3)), ((0.0, 1.2), (0.0, 1.7))):
+            calls.clear()
+            find_ep_on_segment(family, *segment)
+            # chebroots takes the roots as the eigvals of companion matrices.
+            assert {key for key in calls if key[0] != "eigvals"} == {("eig", "stack")}
+            assert calls["eig", "stack"] == 1
+            assert calls["eigvals", "stack"] == 0
+
     def test_defect_measure_small(self, family):
         ep = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
         assert ep.defect_measure <= 1e-6
