@@ -3,9 +3,9 @@
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
 recording the fully resolved configuration, tool, python, numpy and click
 versions, wall time, row count and `write_s`, the part of the wall time
-spent writing the data file (and, for chi sweeps, the number of
-cells of each status; for ep-locate and trace-line, the largest residual
-gap and |discriminant| over the located points).
+spent writing the data file (and, for sweeps, the number of cells of
+each status; for ep-locate and trace-line, the largest residual gap and
+|discriminant| over the located points).
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -27,7 +27,7 @@ from . import __version__
 from .errors import NhgeomError
 from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import band_order, matrix_scale
-from .model import get_family
+from .model import _FAMILIES, get_family
 from .jordan import _classify, _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
@@ -199,38 +199,51 @@ def write_manifest(out, subcommand, config, started, fields):
         fh.write("\n")
 
 
-def sweep_columns(sweep, *values):
-    """The columns of a Sweep's rows: its two coordinates, the band, a
-    column per array of `values` and the status.
+def write_sweep(out, fmt, header, sweep, values, constants=()):
+    """Write a Sweep's rows: its two coordinates, a column per field of
+    `constants`, the band, a column per array of `values` and the status.
 
     A value field is the repr of a float where the cell is ok, and None
-    (an empty field) where it is not.
+    (an empty field) where it is not.  The manifest fields gain `status`,
+    the number of cells of each status.
     """
-    ok = sweep.status == OK
+    n, ok = len(sweep), sweep.status == OK
 
-    def fields(column):
-        spread = np.full(len(ok), None, dtype=object)
+    def masked(column):
+        spread = np.full(n, None, dtype=object)
         spread[ok] = list(map(repr, column[ok].tolist()))
         return spread.tolist()
 
     status = np.array(STATUSES, dtype=object)[sweep.status].tolist()
-    return [*sweep.coordinates(repr), [sweep.band] * len(sweep), *map(fields, values), status]
-
-
-def write_chi(out, fmt, coord_names, sweep):
-    """Write a chi Sweep; a non-ok cell has no value fields.
-
-    The manifest fields gain `status`, the number of cells of each status.
-    """
-    columns = sweep_columns(sweep, sweep.values.real, sweep.values.imag, sweep.errors)
-    header = list(coord_names) + ["band", "re_chi", "im_chi", "error_estimate", "status"]
+    columns = [*sweep.coordinates(repr), *([c] * n for c in constants), [sweep.band] * n,
+               *map(masked, values), status]
     fields = write_rows(out, fmt, header, columns)
     counts = np.bincount(sweep.status, minlength=len(STATUSES)).tolist()
-    fields["status"] = {name: n for name, n in zip(STATUSES, counts) if n}
+    fields["status"] = {name: k for name, k in zip(STATUSES, counts) if k}
     return fields
 
 
-MODEL = click.option("--model", default="nv-dirac", show_default=True)
+def write_chi(out, fmt, coord_names, sweep):
+    """Write a chi Sweep; a non-ok cell has no value fields."""
+    header = [*coord_names, "band", "re_chi", "im_chi", "error_estimate", "status"]
+    return write_sweep(out, fmt, header, sweep,
+                       [sweep.values.real, sweep.values.imag, sweep.errors])
+
+
+EP_HEADER = ["q1", "q2", "re_energy", "im_energy", "defect_measure"]
+
+
+def ep_columns(points):
+    """The EP_HEADER columns of EPLocations, as shortest round-trip decimals."""
+    q1, q2 = np.array([ep.point for ep in points]).T
+    energies = np.array([ep.coalesced_energy for ep in points])
+    columns = [q1, q2, energies.real, energies.imag, [ep.defect_measure for ep in points]]
+    return [list(map(fnum, column)) for column in columns]
+
+
+MODEL = click.option(
+    "--model", type=click.Choice(sorted(_FAMILIES)), default="nv-dirac", show_default=True
+)
 OUT = click.option("--out", required=True, type=click.Path(dir_okay=False))
 CONFIG = click.option(
     "--config", type=click.Path(exists=False), default=None, is_eager=True,
@@ -255,13 +268,6 @@ def main():
     """Biorthogonal quantum geometry scans for non-Hermitian models."""
 
 
-def _family_or_usage(name):
-    try:
-        return get_family(name)
-    except KeyError as err:
-        raise click.UsageError(str(err))
-
-
 def command(name, *options):
     """Register ``nhgeom <name>`` with --model, --out, --config and `options`.
 
@@ -276,7 +282,7 @@ def command(name, *options):
         @functools.wraps(body)
         def run(model, out, **params):
             started = time.monotonic()
-            family = _family_or_usage(model)
+            family = get_family(model)
             try:
                 fields = body(family, out, **params)
             except (NhgeomError, ValueError) as err:
@@ -380,11 +386,8 @@ def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     if not 0 < delta < math.inf:
         raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
-    columns = sweep_columns(sweep, sweep.values.real, sweep.values.imag)
-    columns.insert(2, [fnum(delta)] * len(sweep))
-    return write_rows(
-        out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"], columns
-    )
+    return write_sweep(out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"],
+                       sweep, [sweep.values.real, sweep.values.imag], constants=[fnum(delta)])
 
 
 @command(
@@ -438,18 +441,9 @@ def cmd_ep_locate(family, out, fmt, segment):
             "kind": kind.value,
             "defect_measure": ep.defect_measure,
         })
-    row = [
-        fnum(ep.point.q1),
-        fnum(ep.point.q2),
-        fnum(ep.coalesced_energy.real),
-        fnum(ep.coalesced_energy.imag),
-        kind.value,
-        fnum(ep.defect_measure),
-    ]
-    return evidence | write_rows(
-        out, "csv", ["q1", "q2", "re_energy", "im_energy", "kind", "defect_measure"],
-        [[v] for v in row],
-    )
+    columns = ep_columns([ep])
+    columns.insert(4, [kind.value])
+    return evidence | write_rows(out, "csv", [*EP_HEADER[:4], "kind", *EP_HEADER[4:]], columns)
 
 
 @command(
@@ -472,12 +466,7 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
         "residual_gap": max(ep.gap for ep in points),
         "discriminant": float(np.abs(_discriminant(family, q1, q2)).max()),
     }
-    energies = np.array([ep.coalesced_energy for ep in points])
-    columns = [q1, q2, energies.real, energies.imag, [ep.defect_measure for ep in points]]
-    return evidence | write_rows(
-        out, fmt, ["q1", "q2", "re_energy", "im_energy", "defect_measure"],
-        [list(map(fnum, column)) for column in columns],
-    )
+    return evidence | write_rows(out, fmt, EP_HEADER, ep_columns(points))
 
 
 @command(

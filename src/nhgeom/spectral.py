@@ -21,11 +21,11 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import EPNotFoundError, LostTrackError
-from .linalg import matrix_scale
+from .linalg import DEGENERACY_TOL, matrix_scale
 from .model import ParameterPoint, as_point
 
 REALITY_TOL = 1e-8  # relative: max |Im E| for an unbroken spectrum
-NEAR_EP_GAP_TOL = 1e-8  # relative: min gap below this means "at an EP"
+NEAR_EP_GAP_TOL = DEGENERACY_TOL  # relative: min gap at or below this means "at an EP"
 # The discriminant of a 3x3 family is a degree-6 polynomial along a
 # segment; it is interpolated at twice that many nodes plus one, so the
 # coefficients above DISC_DEGREE measure the fit's round-off.

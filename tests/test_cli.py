@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,13 @@ class TestPolar:
             assert "all radii must be positive" in result.output
             assert not out.exists()
 
+    def test_empty_radii_exit_2(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["polar", "--radii", ",", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--radii must be nonempty" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("angles", ["", ",", " "])
     def test_empty_angles_exit_2(self, runner, tmp_path, angles, monkeypatch):
         # A usage error, found before any work, like an empty --radii.
@@ -657,6 +665,22 @@ class TestJordanCommand:
         assert "computation failed" in result.output
         assert not out.exists()
 
+    def test_real_energy_alone(self, runner, tmp_path):
+        out = tmp_path / "jordan.json"
+        run_ok(runner, ["jordan", "--point", "0,1", "--energy", "3", "--out", str(out)])
+        rec = json.loads(out.read_text())
+        assert rec["energy"] == [3.0, 0.0]
+        assert rec["kind"] == "Dirac"
+
+    def test_energy_of_three_parts_exits_2(self, runner, tmp_path):
+        out = tmp_path / "jordan.json"
+        result = runner.invoke(main, [
+            "jordan", "--point", "0,1", "--energy", "3,0,1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "--energy takes 're' or 're,im'" in result.output
+        assert not out.exists()
+
 
 class TestConfigAndManifest:
     def test_manifest_written(self, runner, tmp_path):
@@ -776,6 +800,65 @@ class TestConfigAndManifest:
             "chi-scan", "--model", "nope", "--out", str(tmp_path / "x.csv"),
         ])
         assert result.exit_code == 2
+
+    def test_unknown_model_in_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("model = nope\n")
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["chi-scan", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "nope" in result.output
+        assert not out.exists()
+
+    def test_config_skips_blank_and_comment_lines(self, runner, tmp_path):
+        cfg = tmp_path / "spaced.cfg"
+        cfg.write_text("\n# a comment-only line\n   \nresolution = 2,2\n")
+        out = tmp_path / "spec.csv"
+        run_ok(runner, ["spectrum-scan", "--config", str(cfg), "--out", str(out)])
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 2 * 3
+
+    def test_config_line_without_equals_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("resolution = 2,2\nbox 0,1,0,1\n")
+        out = tmp_path / "spec.csv"
+        result = runner.invoke(main, ["spectrum-scan", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"{cfg}:2: expected 'key = value', got 'box 0,1,0,1'" in result.output
+        assert not out.exists()
+
+
+# One run of each sweep through the Dirac EP (0, 1), so that each table
+# has an ep_breakdown cell.
+SWEEPS_THROUGH_DIRAC = [
+    ["chi-scan", "--box", "-0.1,0.1,0.9,1.1", "--resolution", "3,3"],
+    ["line-cut", "--q2-range", "0.9,1.1", "--n-points", "3"],
+    ["polar", "--center", "0,0.9", "--radii", "0.1", "--n-angles", "4"],
+    ["straddle", "--q2-range", "0.9,1.1", "--n-points", "5", "--delta", "0.1"],
+]
+
+
+@pytest.mark.parametrize("args", SWEEPS_THROUGH_DIRAC, ids=lambda a: a[0])
+def test_sweep_manifest_counts_statuses(runner, tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    run_ok(runner, args + ["--out", str(out)])
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    _, rows = read_csv(out)
+    assert manifest["status"]["ep_breakdown"] >= 1
+    assert sum(manifest["status"].values()) == manifest["rows"] == len(rows)
+    assert manifest["status"] == dict(Counter(r[-1] for r in rows))
+
+
+@pytest.mark.parametrize("box,message", [
+    ("a,b,c,d", "could not parse --box 'a,b,c,d' as floats"),
+    ("0,1,2", "--box needs 4 comma-separated floats, got '0,1,2'"),
+])
+def test_unparsable_numbers_exit_2(runner, tmp_path, box, message):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["chi-scan", "--box", box, "--out", str(out)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
 
 
 # Valid arguments for each command, so that only the flag under test can fail.

@@ -558,6 +558,14 @@ class TestPolarSweep:
         with pytest.raises(ValueError, match="angles must be finite"):
             polar_sweep(family, (0.0, 1.0), [0.1], [0.0, angle], 0)
 
+    def test_no_radii_rejected(self, family):
+        with pytest.raises(ValueError, match="radii and angles must be nonempty"):
+            polar_sweep(family, (0.0, 1.0), [], [0.0], 0)
+
+    def test_band_outside_labels_rejected(self):
+        with pytest.raises(ValueError, match=r"band must be one of -1, 0, \+1; got 2"):
+            band_index(2, 3)
+
 
 class TestStraddle:
     def test_converges_to_half(self, family):
@@ -577,6 +585,11 @@ class TestStraddle:
         cells = straddle_fidelity(family, 0, [1.6], delta=0.05)
         assert cells[0].status == "ok"
         assert np.isfinite(cells[0].value)
+
+    @pytest.mark.parametrize("delta", [0.0, math.inf])
+    def test_bad_delta_rejected(self, family, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            straddle_fidelity(family, 0, [1.2], delta=delta)
 
 
 # The per-point fidelity that the stacked kernel replaced: two single-matrix

@@ -170,6 +170,10 @@ class TestStackedEigendecompose:
         with pytest.raises(DimensionMismatchError):
             eigendecompose(np.zeros((2, 2, 3, 3)))
 
+    def test_rejects_dimension_above_max(self):
+        with pytest.raises(DimensionMismatchError, match="dimension 17 outside 1..16"):
+            eigendecompose(np.eye(17))
+
 
 # The kernel and the minimum-norm solves of A = H - E are taken from one
 # SVD inside jordan_chain; these tests check them through its chain.

@@ -441,6 +441,42 @@ class TestTraceLine:
             assert f.point.q1 == pytest.approx(-b.point.q1, abs=1e-6)
             assert f.point.q2 == pytest.approx(b.point.q2, abs=1e-6)
 
+    def test_stops_when_the_first_prediction_leaves_the_box(self, family, seed, monkeypatch):
+        q1, q2 = seed.point
+        calls = count_locator_calls(monkeypatch)
+        box = (q1 - 0.01, q1 + 0.01, q2 - 0.01, q2 + 0.01)
+        pts = trace_exceptional_line(family, seed, step=0.05, max_points=40, box=box)
+        assert pts == [seed]
+        assert calls == []
+
+    def test_corrector_miss_after_the_seed_loses_track(self, family, seed, monkeypatch):
+        calls = []
+
+        def second_misses(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise EPNotFoundError("no EP on this segment")
+            return find_ep_on_segment(*args)
+
+        monkeypatch.setattr(spectral, "find_ep_on_segment", second_misses)
+        with pytest.raises(LostTrackError,
+                           match=r"around the last point .*: no EP on this segment"):
+            trace_exceptional_line(family, seed, step=0.05, max_points=40)
+        assert len(calls) == 2
+
+    def test_stops_when_a_corrected_point_leaves_the_box(self, family, seed, monkeypatch):
+        # At the seed on q1 = 0 the gradient's q1 part is 0, so the first
+        # prediction keeps the seed's q2 and only the corrector moves it,
+        # down the line to q2(0.05) < q2*.  A box edge between the two
+        # admits the prediction and not the corrected point.
+        second = trace_exceptional_line(family, seed, step=0.05, max_points=2)[1]
+        assert second.point.q2 < seed.point.q2
+        box = (-2, 2, (seed.point.q2 + second.point.q2) / 2, 2)
+        calls = count_locator_calls(monkeypatch)
+        pts = trace_exceptional_line(family, seed, step=0.05, max_points=40, box=box)
+        assert pts == [seed]
+        assert len(calls) == 1
+
 
 # Reference pair choices, as the library wrote them before closest_pair
 # replaced them: min_gap's loop, find_ep_on_segment's nearest-neighbour
