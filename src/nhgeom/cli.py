@@ -327,7 +327,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     columns = [
         np.tile(np.repeat(reprs(q1_axis), nb), ny).tolist(),
         np.repeat(reprs(q2_axis), nb * nx).tolist(),
-        [1 - slot for slot in range(nb)] * (nx * ny),
+        [nb // 2 - slot for slot in range(nb)] * (nx * ny),
         list(map(repr, w.real.ravel().tolist())),
         list(map(repr, w.imag.ravel().tolist())),
         np.repeat(phases, nb).tolist(),
@@ -489,8 +489,8 @@ def cmd_jordan(family, out, point, energy, n_angles):
         _, i, j = closest_pair(w)
         ev = complex((w[i] + w[j]) / 2)
     chain = jordan_chain(h, ev)
-    diags = [_dispersion(family, (q1, q2), chain, 2 * math.pi * k / n_angles)
-             for k in range(n_angles)]
+    angles = [2 * math.pi * k / n_angles for k in range(n_angles)]
+    diags = _dispersion(family, (q1, q2), chain, angles)
     kind = _classify(family, (q1, q2), chain)
     return write_record(out, {
         "point": [q1, q2],

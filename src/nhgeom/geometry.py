@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BandAmbiguityError, NormalizationBreakdownError
 from .linalg import eigendecompose, matrix_scale, norm
-from .model import ParameterPoint, as_point
+from .model import ParameterPoint, as_point, circle_points
 
 # Prefactor of the susceptibility's conditioning bound, 16 machine epsilons;
 # see `susceptibility`.
@@ -89,9 +89,11 @@ class SusceptibilityResult:
 
 
 def band_index(band, dim):
-    """Map band label in {+1, 0, -1} to an index of the (Re desc) ordering."""
-    if band not in (-1, 0, 1):
-        raise ValueError(f"band must be one of -1, 0, +1; got {band}")
+    """Slot dim // 2 - band of the (Re desc) ordering; labels run dim // 2 down."""
+    labels = range(dim // 2 - dim + 1, dim // 2 + 1)
+    if band not in labels:
+        names = ", ".join(f"{b:+d}" if b else "0" for b in labels)
+        raise ValueError(f"band must be one of {names}; got {band}")
     return dim // 2 - band
 
 
@@ -361,12 +363,11 @@ def polar_sweep(family, center, radii, angles, band):
         raise ValueError(f"all radii must be positive; got {radii}")
     if not all(map(math.isfinite, angles)):
         raise ValueError(f"all angles must be finite; got {angles}")
-    cos, sin = [math.cos(phi) for phi in angles], [math.sin(phi) for phi in angles]
-    n1, n2 = np.tile(np.array([unit((-c, -s)) for c, s in zip(cos, sin)]).T, len(radii))
-    r = np.array(radii)[:, None]
-    q1, q2 = (center.q1 + r * np.array(cos)).ravel(), (center.q2 + r * np.array(sin)).ravel()
+    inward = [unit((-math.cos(phi), -math.sin(phi))) for phi in angles]
+    n1, n2 = np.tile(np.array(inward).T, len(radii))
+    q1, q2 = circle_points(center, radii, angles)
     columns = _sum_over_states(family, band, q1, q2, n1[:, None, None], n2[:, None, None])
-    return Sweep((r[:, 0], np.array(angles)), 1, band, *columns)
+    return Sweep((np.array(radii), np.array(angles)), 1, band, *columns)
 
 
 def straddle_fidelity(family, band, q2_values, delta, q1=0.0):

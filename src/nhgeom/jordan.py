@@ -21,7 +21,7 @@ from .errors import (
     NotDefectiveError,
 )
 from .linalg import as_complex_matrix, matrix_scale
-from .model import as_point
+from .model import as_point, circle_points
 from .spectral import EPKind, Phase, phase_of
 
 # Window (relative to ||H||) within which two eigenvalues count as the
@@ -156,15 +156,6 @@ def a_coefficient(chain, dh):
     return complex(chain.phi0 @ dh @ chain.psi0)
 
 
-def _ring(family, center, radii, angles):
-    """H at center + r (cos phi, sin phi) for each pair (r, phi), stacked."""
-    q1, q2 = as_point(center)
-    return family.matrices(
-        [q1 + r * math.cos(phi) for r, phi in zip(radii, angles)],
-        [q2 + r * math.sin(phi) for r, phi in zip(radii, angles)],
-    )
-
-
 def sqrt_coefficient(family, ep, phi):
     """Dispersion diagnostic at a located EP along direction `phi`.
 
@@ -176,34 +167,34 @@ def sqrt_coefficient(family, ep, phi):
     `classify_ep` reads the chain elements alone.
     """
     chain = jordan_chain(family.matrix(ep.point), ep.coalesced_energy)
-    return _dispersion(family, ep.point, chain, phi)
+    return _dispersion(family, ep.point, chain, [phi])[0]
 
 
-def _dispersion(family, point, chain, phi):
-    """`sqrt_coefficient` at `point` along `phi`, from its Jordan chain `chain`."""
-    dh = family.directional_derivative(point, phi)
-    a_val = a_coefficient(chain, dh)
-    predicted = 2.0 * cmath.sqrt(a_val)
-
+def _dispersion(family, point, chain, angles):
+    """`sqrt_coefficient` at `point` along each of `angles`, from its Jordan
+    chain `chain`: one eigvals over the FIT_RADII x angles grid of
+    `circle_points` and one least-squares fit whose columns are the angles."""
+    d1, d2 = family.gradient(as_point(point))
+    a_vals = [a_coefficient(chain, math.cos(phi) * d1 + math.sin(phi) * d2) for phi in angles]
     # |E+ - E-| of the pair nearest the chain's energy at each radius; hypot
     # is bit for bit the complex abs of a numpy scalar.
-    w = np.linalg.eigvals(_ring(family, point, FIT_RADII, [phi] * len(FIT_RADII)))
+    w = np.linalg.eigvals(family.matrices(*circle_points(point, FIT_RADII, angles)))
     idx = np.argsort(np.abs(w - chain.energy), axis=-1)[:, :2]
     d = np.subtract.reduce(np.take_along_axis(w, idx, axis=-1), axis=-1)
-    values = np.hypot(d.real, d.imag)
+    values = np.hypot(d.real, d.imag).reshape(len(FIT_RADII), len(angles))
     design = np.column_stack([np.asarray(FIT_RADII) ** p for p in FIT_POWERS])
-    coef = np.linalg.lstsq(design, values, rcond=None)[0]
-    lin, sq = float(coef[FIT_POWERS.index(1.0)]), float(coef[FIT_POWERS.index(0.5)])
+    coef = np.linalg.lstsq(design, values, rcond=None)[0].tolist()
+    lins, sqs = coef[FIT_POWERS.index(1.0)], coef[FIT_POWERS.index(0.5)]
     # Least squares is linear in its data: the fit of the splitting scaled
     # by its value at the largest radius is the raw fit over that value.
-    s_ref = values[0]
-    return DispersionDiagnostic(
-        angle=float(phi),
-        a_coefficient=a_val,
-        sqrt_coefficient=predicted,
-        splitting_fit=(lin, sq),
-        normalized_sqrt_amplitude=abs(sq / s_ref) if s_ref > 0 else 0.0,
-    )
+    return [
+        DispersionDiagnostic(
+            angle=float(phi), a_coefficient=a, sqrt_coefficient=2.0 * cmath.sqrt(a),
+            splitting_fit=(lin, sq),
+            normalized_sqrt_amplitude=abs(sq / s_ref) if s_ref > 0 else 0.0,
+        )
+        for phi, a, lin, sq, s_ref in zip(angles, a_vals, lins, sqs, values[0].tolist())
+    ]
 
 
 def classify_ep(family, ep):
@@ -228,7 +219,7 @@ def _classify(family, point, chain):
         if abs(a_coefficient(chain, dh)) > tol * np.linalg.norm(dh):
             return EPKind.CONVENTIONAL
     angles = [2 * math.pi * k / RING_SAMPLES for k in range(RING_SAMPLES)]
-    ring = _ring(family, point, [NEIGHBOR_RADIUS] * RING_SAMPLES, angles)
+    ring = family.matrices(*circle_points(point, [NEIGHBOR_RADIUS], angles))
     labels = phase_of(np.linalg.eigvals(ring), matrix_scale(ring)).label
     if any(label is not Phase.UNBROKEN for label in labels):
         return EPKind.CONVENTIONAL

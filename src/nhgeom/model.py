@@ -46,6 +46,16 @@ def as_points(p):
     return ParameterPoint(q1, q2)
 
 
+def circle_points(center, radii, angles):
+    """center + r (cos phi, sin phi) over radii x angles, angles fastest, as a
+    ParameterPoint of two flat arrays."""
+    center = as_point(center)
+    r = np.array(radii, dtype=float)[:, None]
+    cos = np.array([math.cos(phi) for phi in angles])
+    sin = np.array([math.sin(phi) for phi in angles])
+    return ParameterPoint((center.q1 + r * cos).ravel(), (center.q2 + r * sin).ravel())
+
+
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A two-parameter matrix family with analytic parameter derivatives.
@@ -67,11 +77,6 @@ class HamiltonianFamily:
     def matrices(self, q1, q2):
         """H at each point (q1[k], q2[k]) of equal-shape finite arrays: (..., n, n)."""
         return self.builder(as_points((q1, q2)))
-
-    def directional_derivative(self, p, phi):
-        """Unit-step derivative cos(phi) dH/dq1 + sin(phi) dH/dq2 at p."""
-        d1, d2 = self.gradient(as_point(p))
-        return math.cos(phi) * d1 + math.sin(phi) * d2
 
 
 def _nv_matrix(p):

@@ -20,14 +20,19 @@ from hypothesis import strategies as st
 from nhgeom import (
     BandAmbiguityError,
     Displacement,
+    HamiltonianFamily,
     NormalizationBreakdownError,
     NotDefectiveError,
     fidelity,
     nv_family,
     susceptibility,
 )
+from nhgeom import cli
 from nhgeom.cli import main, write_rows
+from nhgeom.geometry import band_index
 from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
+
+from conftest import stacked
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -151,6 +156,32 @@ class TestSpectrumScan:
         ])
         assert result.exit_code == 2
         assert not out.exists()
+
+    def test_band_labels_follow_band_index(self, runner, tmp_path, monkeypatch):
+        # Four real levels 4 + q1 > 1 > -1 + q2 > -3 on the box below; the
+        # row labelled b holds the slot band_index(b, 4) picks.
+        four = HamiltonianFamily(
+            name="four-level",
+            dimension=4,
+            builder=lambda p: stacked([
+                [4 + p.q1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1 + p.q2, 0], [0, 0, 0, -3],
+            ], p),
+            gradient=lambda p: (stacked([[1, 0, 0, 0]] + [[0] * 4] * 3, p),
+                                stacked([[0] * 4] * 2 + [[0, 0, 1, 0], [0] * 4], p)),
+        )
+        monkeypatch.setattr(cli, "get_family", lambda name: four)
+        out = tmp_path / "spec.csv"
+        run_ok(runner, [
+            "spectrum-scan", "--box", "-0.5,0.5,0,0.5", "--resolution", "2,2",
+            "--out", str(out),
+        ])
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 2 * 4
+        assert {r[2] for r in rows} == {"2", "1", "0", "-1"}
+        for r in rows:
+            w = np.linalg.eigvals(four.matrix((float(r[0]), float(r[1]))))
+            slots = sorted(w.real, reverse=True)
+            assert float(r[3]) == slots[band_index(int(r[2]), 4)]
 
 
 SPECTRUM_HEADER = ["q1", "q2", "band", "re_energy", "im_energy", "phase"]

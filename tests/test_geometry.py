@@ -566,6 +566,12 @@ class TestPolarSweep:
         with pytest.raises(ValueError, match=r"band must be one of -1, 0, \+1; got 2"):
             band_index(2, 3)
 
+    @pytest.mark.parametrize("band, dim", [(1, 1), (-1, 2)])
+    def test_band_outside_the_family_rejected(self, band, dim):
+        # dim // 2 - band falls outside the dim slots.
+        with pytest.raises(ValueError, match=f"got {band}"):
+            band_index(band, dim)
+
 
 class TestStraddle:
     def test_converges_to_half(self, family):

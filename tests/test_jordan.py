@@ -214,31 +214,47 @@ class TestSqrtCoefficient:
         assert diag.splitting_fit[0] == pytest.approx(fd_slope, rel=1e-2)
         assert fd_slope == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("n_angles", [4, 8, 13])
     def test_jordan_command_builds_one_chain_for_its_diagnostics(
-        self, family, tmp_path, monkeypatch
+        self, family, tmp_path, monkeypatch, n_angles
     ):
         calls = Counter()
-        inner = jordan.jordan_chain
+        stacks = []
 
-        def counted(*args, **kwargs):
-            calls["jordan_chain"] += 1
-            return inner(*args, **kwargs)
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "eigvals":
+                    stacks.append(np.shape(args[0])[:-2])
+                return inner(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(jordan, "jordan_chain", counted)
-        monkeypatch.setattr(cli, "jordan_chain", counted)
+        chain = counted("jordan_chain", jordan.jordan_chain)
+        monkeypatch.setattr(jordan, "jordan_chain", chain)
+        monkeypatch.setattr(cli, "jordan_chain", chain)
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
         out = tmp_path / "chain.json"
-        result = CliRunner().invoke(cli.main, ["jordan", "--point", "0,1", "--out", str(out)])
+        result = CliRunner().invoke(cli.main, [
+            "jordan", "--point", "0,1", "--n-angles", str(n_angles), "--out", str(out),
+        ])
+        monkeypatch.undo()
         assert result.exit_code == 0, result.output
-        # One chain for the command's record, its 8 diagnostics and its kind.
+        # One chain for the command's record, its diagnostics and its kind.
         assert calls["jordan_chain"] == 1
+        # One eigvals over every radius and angle of the ladders, one fit.
+        assert stacks.count((len(jordan.FIT_RADII) * n_angles,)) == 1
+        assert calls["lstsq"] == 1
         record = json.loads(out.read_text())
         ep = EPLocation(point=ParameterPoint(0.0, 1.0), coalesced_energy=complex(*record["energy"]),
                         gap=0.0, defect_measure=0.0)
-        assert len(record["dispersion"]) == 8
+        assert len(record["dispersion"]) == n_angles
         for k, row in enumerate(record["dispersion"]):
-            diag = sqrt_coefficient(family, ep, 2 * math.pi * k / 8)
+            diag = sqrt_coefficient(family, ep, 2 * math.pi * k / n_angles)
             assert row["angle"] == diag.angle
             assert complex(*row["a_coefficient"]) == diag.a_coefficient
+            assert complex(*row["sqrt_coefficient"]) == diag.sqrt_coefficient
+            assert row["linear_slope"] == diag.splitting_fit[0]
             assert row["sqrt_amplitude"] == diag.splitting_fit[1]
             assert row["normalized_sqrt_amplitude"] == diag.normalized_sqrt_amplitude
 

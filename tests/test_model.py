@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nhgeom import NonFiniteError, get_family, matrix_scale, nv_gradient, nv_hamiltonian
+from nhgeom.model import circle_points
 
 
 @dataclass(frozen=True)
@@ -182,18 +184,15 @@ class TestGradient:
             assert np.max(np.abs(fd - d)) <= 1e-7
 
 
-class TestDirectionalDerivative:
-    def test_axes(self, family):
-        p = (0.1, 0.2)
-        dq1, dq2 = nv_gradient(p)
-        assert np.allclose(family.directional_derivative(p, 0.0), dq1, atol=1e-15)
-        assert np.allclose(family.directional_derivative(p, np.pi / 2), dq2, atol=1e-12)
-
-    def test_diagonal_direction(self, family):
-        p = (0.1, 0.2)
-        dq1, dq2 = nv_gradient(p)
-        got = family.directional_derivative(p, np.pi / 4)
-        assert np.allclose(got, (dq1 + dq2) / np.sqrt(2), atol=1e-12)
+class TestCirclePoints:
+    def test_angles_fastest_in_float_arithmetic(self):
+        center, radii = (0.1, -0.7), [1e-2, 0.3, 2.5]
+        angles = [0.0, 1.0, math.pi / 3, -2.0, 7.5, 2 * math.pi * 5 / 13]
+        q1, q2 = circle_points(center, radii, angles)
+        assert q1.shape == q2.shape == (len(radii) * len(angles),)
+        for k, (r, phi) in enumerate(itertools.product(radii, angles)):
+            assert q1[k] == center[0] + r * math.cos(phi)
+            assert q2[k] == center[1] + r * math.sin(phi)
 
 
 def test_registry():
