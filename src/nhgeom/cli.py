@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import NhgeomError
 from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
-from .linalg import band_order, matrix_scale
+from .linalg import band_order, eigenvalues, matrix_scale
 from .model import _FAMILIES, get_family
 from .jordan import _classify, _dispersion, classify_ep, jordan_chain
 from .spectral import (
@@ -313,7 +313,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     q1_axis, q2_axis = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
     q2s, q1s = np.meshgrid(q2_axis, q1_axis, indexing="ij")
     h = family.matrices(q1s.ravel(), q2s.ravel())
-    w = np.linalg.eigvals(h)
+    w = eigenvalues(h)
     labels = phase_of(w, matrix_scale(h)).label
     w = np.take_along_axis(w, band_order(w), axis=-1)
     nb = w.shape[-1]  # rows run over q2, then q1, then band
@@ -485,7 +485,7 @@ def cmd_jordan(family, out, point, energy, n_angles):
             raise click.UsageError("--energy takes 're' or 're,im'")
         ev = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
     else:
-        w = np.linalg.eigvals(h)
+        w = eigenvalues(h)
         _, i, j = closest_pair(w)
         ev = complex((w[i] + w[j]) / 2)
     chain = jordan_chain(h, ev)

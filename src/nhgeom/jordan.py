@@ -20,7 +20,7 @@ from .errors import (
     NoDoubleEigenvalueError,
     NotDefectiveError,
 )
-from .linalg import as_complex_matrix, matrix_scale
+from .linalg import as_complex_matrix, eigenvalues, matrix_scale
 from .model import as_point, circle_points
 from .spectral import EPKind, Phase, phase_of
 
@@ -91,7 +91,7 @@ def jordan_chain(h, energy):
     """
     h = as_complex_matrix(h)
     scale = matrix_scale(h)
-    w = np.linalg.eigvals(h)
+    w = eigenvalues(h)
     close = np.abs(w - energy) <= DOUBLE_EV_TOL * scale
     if np.count_nonzero(close) < 2:
         raise NoDoubleEigenvalueError(
@@ -172,13 +172,13 @@ def sqrt_coefficient(family, ep, phi):
 
 def _dispersion(family, point, chain, angles):
     """`sqrt_coefficient` at `point` along each of `angles`, from its Jordan
-    chain `chain`: one eigvals over the FIT_RADII x angles grid of
+    chain `chain`: one `eigenvalues` call over the FIT_RADII x angles grid of
     `circle_points` and one least-squares fit whose columns are the angles."""
     d1, d2 = family.gradient(as_point(point))
     a_vals = [a_coefficient(chain, math.cos(phi) * d1 + math.sin(phi) * d2) for phi in angles]
     # |E+ - E-| of the pair nearest the chain's energy at each radius; hypot
     # is bit for bit the complex abs of a numpy scalar.
-    w = np.linalg.eigvals(family.matrices(*circle_points(point, FIT_RADII, angles)))
+    w = eigenvalues(family.matrices(*circle_points(point, FIT_RADII, angles)))
     idx = np.argsort(np.abs(w - chain.energy), axis=-1)[:, :2]
     d = np.subtract.reduce(np.take_along_axis(w, idx, axis=-1), axis=-1)
     values = np.hypot(d.real, d.imag).reshape(len(FIT_RADII), len(angles))
@@ -220,7 +220,7 @@ def _classify(family, point, chain):
             return EPKind.CONVENTIONAL
     angles = [2 * math.pi * k / RING_SAMPLES for k in range(RING_SAMPLES)]
     ring = family.matrices(*circle_points(point, [NEIGHBOR_RADIUS], angles))
-    labels = phase_of(np.linalg.eigvals(ring), matrix_scale(ring)).label
+    labels = phase_of(eigenvalues(ring), matrix_scale(ring)).label
     if any(label is not Phase.UNBROKEN for label in labels):
         return EPKind.CONVENTIONAL
     return EPKind.DIRAC

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small non-Hermitian matrices.
 
-Provides input validation, norms, the band order and eigendecomposition
-with matched, biorthogonally normalized left/right eigenvector pairs, of
-one matrix or of a stack.
+Provides input validation, norms, the band order, the one eigensolver
+entry point (`eigenvalues`, `eigenpairs`) and eigendecomposition with
+matched, biorthogonally normalized left/right eigenvector pairs, of one
+matrix or of a stack.
 
 All routines operate on plain numpy arrays (complex dtype) of dimension
 n <= 16 and are pure functions: safe for concurrent use.
@@ -115,6 +116,44 @@ class BiorthogonalEigensystem:
         return np.max(np.abs(g - np.eye(self.dim)), axis=(-2, -1))
 
 
+def _by_driver(solve, h):
+    """numpy's eigensolver `solve` on each matrix of `h` (n, n) or (..., n, n),
+    as a tuple of complex arrays.
+
+    A matrix with no imaginary part goes to LAPACK's real driver (dgeev),
+    which costs about half the complex one (zgeev) and returns each complex
+    pair as exact conjugates, +Im first; any other matrix keeps the complex
+    driver.  The test is per matrix, so a matrix's eigensystem never
+    depends on the rest of its stack: an all-real or all-complex stack
+    takes one call, and only a mixed stack is split.
+    """
+    h = np.asarray(h)
+    if not np.count_nonzero(h.imag):
+        return tuple(x.astype(complex, copy=False) for x in solve(h.real))
+    real = ~h.imag.any(axis=(-2, -1))
+    if not real.any():
+        return tuple(solve(h))
+    out = []
+    for part_real, part_complex in zip(solve(h[real].real), solve(h[~real])):
+        x = np.empty(real.shape + part_real.shape[1:], dtype=complex)
+        x[real], x[~real] = part_real, part_complex
+        out.append(x)
+    return tuple(out)
+
+
+def eigenvalues(h):
+    """Eigenvalues of a matrix (n,) or of each matrix of a stack (..., n),
+    complex, unsorted; the driver is chosen per matrix as in `_by_driver`."""
+    return _by_driver(lambda m: (np.linalg.eigvals(m),), h)[0]
+
+
+def eigenpairs(h):
+    """(eigenvalues, unit right eigenvectors as columns) of a matrix or of
+    each matrix of a stack, complex, unsorted, as `numpy.linalg.eig` orders
+    them; the driver is chosen per matrix as in `_by_driver`."""
+    return _by_driver(np.linalg.eig, h)
+
+
 @functools.lru_cache(maxsize=None)
 def _inf_diagonal(n):
     """n x n zeros with inf on the diagonal, to drop i == j from a minimum."""
@@ -126,7 +165,7 @@ def eigendecompose(h):
 
     `h` is one (n, n) matrix or an (N, n, n) stack; a stack takes one
     LAPACK call per matrix and no Python loop.  The rights R are the unit
-    eigenvectors of `numpy.linalg.eig`, the lefts the rows of inv(R), so
+    eigenvectors of `eigenpairs`, the lefts the rows of inv(R), so
     <L_m|R_k> = delta_mk by construction.  The raw overlap of a unit left
     with its unit right is then 1/||L_k||.  R is inverted before the band
     sort and the rows of L permuted with it, which keeps exact zeros exact.
@@ -142,7 +181,7 @@ def eigendecompose(h):
     n = stack.shape[-1]
     scale = matrix_scale(stack)[:, None]
 
-    w, rights = np.linalg.eig(stack)
+    w, rights = eigenpairs(stack)
     # inv raises for the whole stack if one R is exactly singular; det
     # comes from the same LU, so it masks those matrices first.
     singular = np.linalg.det(rights) == 0

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import EPNotFoundError, LostTrackError
-from .linalg import DEGENERACY_TOL, matrix_scale
+from .linalg import DEGENERACY_TOL, eigenpairs, eigenvalues, matrix_scale
 from .model import ParameterPoint, as_point
 
 REALITY_TOL = 1e-8  # relative: max |Im E| for an unbroken spectrum
@@ -110,7 +110,7 @@ def phase_of(w, scale):
 
 def classify_phase(family, p):
     h = family.matrix(p)
-    return phase_of(np.linalg.eigvals(h), matrix_scale(h))
+    return phase_of(eigenvalues(h), matrix_scale(h))
 
 
 def discriminant(family, p):
@@ -185,9 +185,9 @@ def find_ep_on_segment(family, a, b):
     phase).  A sign change within the fit's root resolution of a touching
     zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
     split by noise and gives way to it.  The remaining candidates are
-    ranked by one stacked `eig`, and the first with the smallest
+    ranked by one stacked `eigenpairs`, and the first with the smallest
     eigenvalue gap is returned, as an EPLocation whose evidence comes from
-    the same `eig`: its gap, the mean of the closest pair as its energy,
+    the same `eigenpairs`: its gap, the mean of the closest pair as its energy,
     and as its defect the smallest singular value of the Gram matrix of
     its unit right eigenvectors, zero where two of them coincide;
     `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when
@@ -224,7 +224,7 @@ def find_ep_on_segment(family, a, b):
             f"touches zero within {TOUCH_NOISE_FACTOR} x its fit noise {noise:.3e}"
         )
     points = point_at(candidates)
-    w, v = np.linalg.eig(family.matrices(*points))
+    w, v = eigenpairs(family.matrices(*points))
     gaps, i, j = closest_pair(w)
     k = gaps.argmin()  # the first smallest gap
     v = v[k] / np.linalg.norm(v[k], axis=0)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nhgeom import nv_family
+from nhgeom import HamiltonianFamily, nv_family
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +64,33 @@ def stacked(rows, p):
     return np.stack(
         [np.stack([np.broadcast_to(e, shape) for e in row], -1) for row in rows], -2
     ).astype(complex)
+
+
+def numpy_eigensolve(h, vectors=False):
+    """numpy's eigvals (or eig, with `vectors`) of one matrix, by the driver
+    rule of `nhgeom.linalg`, as complex arrays: a matrix with no imaginary
+    part goes to the real driver, any other to the complex one."""
+    h = np.asarray(h)
+    m = h if h.imag.any() else h.real
+    if vectors:
+        return tuple(x.astype(complex) for x in np.linalg.eig(m))
+    return np.linalg.eigvals(m).astype(complex)
+
+
+def imaginary_detuning_family():
+    """The NV family with its detuning 2 q1 Sz made imaginary, 2i q1 Sz.
+
+    Its matrices are complex off q1 = 0 and exactly real on it, so a sweep
+    across q1 = 0 mixes the two LAPACK drivers in one stack.
+    """
+    return HamiltonianFamily(
+        "imaginary-detuning", 3,
+        builder=lambda p: stacked([
+            [3 + 2j * p.q1, 1 - p.q2, 0], [1 + p.q2, 0, 1 - p.q2], [0, 1 + p.q2, 3 - 2j * p.q1],
+        ], p),
+        gradient=lambda p: (stacked([[2j, 0, 0], [0, 0, 0], [0, 0, -2j]], p),
+                            stacked([[0, -1, 0], [1, 0, -1], [0, 1, 0]], p)),
+    )
 
 
 def sorted_complex(w):

@@ -23,6 +23,7 @@ from nhgeom import (
     HamiltonianFamily,
     NormalizationBreakdownError,
     NotDefectiveError,
+    eigendecompose,
     fidelity,
     nv_family,
     susceptibility,
@@ -32,7 +33,7 @@ from nhgeom.cli import main, write_rows
 from nhgeom.geometry import band_index
 from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
 
-from conftest import stacked
+from conftest import imaginary_detuning_family, numpy_eigensolve, stacked
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -179,7 +180,7 @@ class TestSpectrumScan:
         assert len(rows) == 2 * 2 * 4
         assert {r[2] for r in rows} == {"2", "1", "0", "-1"}
         for r in rows:
-            w = np.linalg.eigvals(four.matrix((float(r[0]), float(r[1]))))
+            w = numpy_eigensolve(four.matrix((float(r[0]), float(r[1]))))
             slots = sorted(w.real, reverse=True)
             assert float(r[3]) == slots[band_index(int(r[2]), 4)]
 
@@ -188,14 +189,14 @@ SPECTRUM_HEADER = ["q1", "q2", "band", "re_energy", "im_energy", "phase"]
 
 
 def reference_spectrum_rows(family, q1s, q2s):
-    """spectrum-scan rows built point by point: one eigvals per cell,
-    numpy's Frobenius norm for the scale, `closest_pair` for the gap and
-    the (Re desc, Im desc) band sort key."""
+    """spectrum-scan rows built point by point: one eigvals per cell, by
+    the real-driver rule, numpy's Frobenius norm for the scale,
+    `closest_pair` for the gap and the (Re desc, Im desc) band sort key."""
     rows = []
     for q2 in q2s:
         for q1 in q1s:
             h = family.matrix((q1, q2))
-            w = np.linalg.eigvals(h)
+            w = numpy_eigensolve(h)
             scale = max(np.linalg.norm(h), 1.0)
             if closest_pair(w)[0] <= NEAR_EP_GAP_TOL * scale:
                 label = "near_ep"
@@ -215,7 +216,8 @@ def reference_label(family, q2):
 
 
 def label_edge(family, lo, hi):
-    """Adjacent floats q2 < q2' on q1 = 0 where the reference label changes."""
+    """Adjacent floats (q2 on the side of lo, q2' on the side of hi) on
+    q1 = 0 where the reference label changes, by bisection from lo to hi."""
     start = reference_label(family, lo)
     assert reference_label(family, hi) != start
     while np.nextafter(lo, hi) != hi:
@@ -229,11 +231,15 @@ def label_edge(family, lo, hi):
 
 def edge_values():
     """q2 values on both sides of the NEAR_EP_GAP_TOL edge by the Dirac EP
-    and of the REALITY_TOL edge by the conventional EP, a few ulps out."""
+    and of the REALITY_TOL edge by the conventional EP, a few ulps out.
+
+    The conventional edge is approached from the broken side: below q2*
+    the real driver keeps the levels exactly real, so from there the first
+    edge met is the gap's, not the imaginary part's."""
     family = nv_family()
     values = []
-    for lo, hi in ((1.0, 1.0 + 1e-6), (Q2_STAR - 1e-3, Q2_STAR + 1e-3)):
-        a, b = label_edge(family, lo, hi)
+    for start, end in ((1.0, 1.0 + 1e-6), (Q2_STAR + 1e-3, Q2_STAR - 1e-3)):
+        a, b = sorted(label_edge(family, start, end))
         for _ in range(3):
             values += [a, b]
             a, b = np.nextafter(a, -np.inf), np.nextafter(b, np.inf)
@@ -286,6 +292,56 @@ class TestSpectrumScanReference:
         labels = [reference_label(family, q2) for q2 in EDGE_Q2]
         assert {"near_ep", "unbroken", "broken"} <= set(labels)
         assert labels[0] != labels[1] and labels[6] != labels[7]
+
+    def test_family_real_on_one_line_matches_pointwise_reference(self, tmp_path, monkeypatch):
+        # Real on q1 = 0 and complex off it: every cell is solved by the
+        # driver its own matrix picks, whatever the rest of the grid is.
+        family = imaginary_detuning_family()
+        monkeypatch.setattr(cli, "get_family", lambda name: family)
+        out = tmp_path / "spec.csv"
+        run_ok(CliRunner(), [
+            "spectrum-scan", "--box", "-0.5,0.5,0.1,1.9", "--resolution", "5,8",
+            "--out", str(out),
+        ])
+        want = reference_spectrum_rows(family, np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.9, 8))
+        assert out.read_bytes() == csv_bytes(SPECTRUM_HEADER, want)
+
+
+class TestBrokenPairOrder:
+    """In the PT-broken phase the NV matrix, which is real, has one real
+    level above a complex pair.  The real driver returns the pair as exact
+    conjugates, so band 0 is its +Im member at every point, and the labels
+    at (q1, q2) and (-q1, q2), whose spectra are equal, name the same
+    member."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.3, 0.3), st.floats(1.5, 2.0))
+    def test_pair_is_exact_and_plus_im_first(self, family, q1, q2):
+        energies = eigendecompose(family.matrices([q1, -q1], [q2, q2])).energies
+        assert (energies[:, 1] == energies[:, 2].conj()).all()
+        assert (energies[:, 1].imag > 0).all()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "spec.csv"
+            run_ok(CliRunner(), [
+                "spectrum-scan", "--box", f"{q1!r},{-q1!r},{q2!r},{q2!r}",
+                "--resolution", "2,1", "--out", str(out),
+            ])
+            _, rows = read_csv(out)
+        assert [r[2] for r in rows] == ["1", "0", "-1"] * 2
+        for upper, lower in (rows[1:3], rows[4:6]):
+            assert upper[3] == lower[3] and upper[4] == repr(-float(lower[4]))
+            assert float(upper[4]) > 0 and upper[5] == lower[5] == "broken"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.3, 0.3), st.floats(1.5, 2.0))
+    def test_im_chi_sign_is_even_in_q1(self, family, q1, q2):
+        # Band +1 is real and its Im chi is round-off, so it is left out.
+        # A sign is compared where both values exceed their error bars.
+        for band in (0, -1):
+            here, mirror = (susceptibility(family, band, (x, q2), (0.0, 1.0)) for x in (q1, -q1))
+            if min(abs(here.value.imag), abs(mirror.value.imag)) > max(
+                    here.error_estimate, mirror.error_estimate):
+                assert np.sign(here.value.imag) == np.sign(mirror.value.imag)
 
 
 class TestChiScan:
@@ -1001,23 +1057,23 @@ def test_cli_import_loads_no_scipy():
 # CHANGES.md with its numerical diff, and the digest updated here.
 README_OUTPUTS = {
     "spectrum.csv": (["spectrum-scan", "--box", "-2,2,0,2", "--resolution", "101,101"],
-                     "4dbc6c5165f1c5fd533f02174de6ddfee63dd8293379d334c78b556f3c40fe49"),
+                     "eb5a73bfd62483c4fc53ef1fab193376df6c0130c33ce21b32925ef7493eb477"),
     "chi.csv": (["chi-scan", "--box", "-1.5,1.5,0,2", "--resolution", "41,41"],
-                "2200ebda51787d414e091a3e9c418c338c9eb79465dd6f7e2a4e115dad11b40b"),
+                "20314aea28e2835bf2b43f70cb1e8da8c0f0b04081e8aa1f878f1d38c6049026"),
     "cut.csv": (["line-cut", "--q1", "0", "--q2-range", "0,0.99", "--n-points", "200"],
-                "70965e7edf2221d2435c24d612707f6c8bec3e6efaff144b4b1d47837f3dbcf9"),
+                "7e4b540d98f8394db23050062b9d59d8c461d5bfbd0f4486d2303f1291749aca"),
     "straddle.csv": (["straddle", "--q2-range", "1.2,1.43", "--n-points", "51",
                       "--delta", "0.05"],
-                     "6527ce4599db4997c89f54345a14c1a086915bb41148f011abb6a3352b8535d4"),
+                     "a7c25596096d0f070ef7ee0dca205433cbeb75a103026c38730c0902efa7ae45"),
     "polar.csv": (["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
-                  "19bd4382defc0f1e84ab0fb908b281130d3611dc0de2c42d63342a2829dbfaed"),
+                  "6beff305fd2a1e90c82ab8e1c42660e45a1fd0c1e8ac7cc6d8f2283e136946ce"),
     "dirac.json": (["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
-                   "ec3ebb24b1daa98c7cd8650764b2059da3fc585dbecafa7d60f3e42bf73f0981"),
+                   "2aa4b389ca1db4eb0882f1684779a8c501e0ddab818652c5211ecc85f1cfbee4"),
     "line.csv": (["trace-line", "--segment", "0,1.2,0,1.7", "--step", "0.05",
                   "--max-points", "40"],
-                 "5a39017d7f3473020e22f6759af1e92c3aad49f8e958017757f2ed8b9357d870"),
+                 "6075521edc9ffbdf87a725e1dafc60b2ce96f0f7b9315949b0320d95aeccb4b3"),
     "chain.json": (["jordan", "--point", "0,1"],
-                   "cfe5f9dc78992421af15413d4a296b189a542c4991b55f0191332b5822aaed3d"),
+                   "76c9549aec7c1d0f28649a14884aa29fcf9390986f75abbfa78cc3bc73fee9d2"),
 }
 
 

@@ -30,7 +30,7 @@ from nhgeom.linalg import matrix_scale
 from nhgeom.model import as_point
 from nhgeom.spectral import closest_pair
 
-from conftest import reference_line_q2
+from conftest import imaginary_detuning_family, reference_line_q2
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 EPS = np.finfo(float).eps
@@ -530,6 +530,41 @@ class TestSweep:
         sweep = line_scan(family, 0.3, [], 0, (0.0, 1.0))
         assert len(sweep) == 0 and list(sweep) == []
         assert sweep.coordinates() == [[], []]
+
+
+def cell_bits(cell):
+    """A ScanCell with its numbers as hex strings, so == is bit for bit."""
+    if cell.value is None:
+        return cell.coords, cell.status
+    return (cell.coords, cell.status, cell.value.real.hex(), cell.value.imag.hex(),
+            cell.error_estimate.hex())
+
+
+class TestDriverChoice:
+    """Each matrix of a stack gets the LAPACK driver it gets alone, so a
+    sweep of a family that is real on q1 = 0 and complex off it equals its
+    one-point cells, bit for bit, across q1 = 0."""
+
+    @pytest.mark.parametrize("band", (-1, 0, 1))
+    def test_grid_through_the_real_line(self, band):
+        family = imaginary_detuning_family()
+        direction = (0.6, 0.8)
+        sweep = grid_scan(family, (-0.5, 0.5, 0.1, 1.9), (5, 8), band, direction)
+        assert {(cell.coords[0] == 0, cell.status) for cell in sweep} == {
+            (True, "ok"), (False, "ok")}
+        for cell in sweep:
+            want = pointwise_cell(family, band, cell.coords, cell.coords, direction)
+            assert cell_bits(cell) == cell_bits(want)
+
+    @pytest.mark.parametrize("q1", (0.0, -0.0, 0.25))
+    def test_line_cut_on_and_off_the_real_line(self, q1):
+        family = imaginary_detuning_family()
+        q2s = np.linspace(0.1, 1.9, 13)
+        for band in (-1, 0, 1):
+            sweep = line_scan(family, q1, q2s, band, (0.0, 1.0))
+            for cell, q2 in zip(sweep, q2s):
+                want = pointwise_cell(family, band, (q1, q2), (q1, q2), (0.0, 1.0))
+                assert cell_bits(cell) == cell_bits(want)
 
 
 class TestPolarSweep:

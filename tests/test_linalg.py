@@ -12,9 +12,15 @@ from nhgeom import (
     jordan_chain,
     matrix_scale,
 )
-from nhgeom.linalg import BREAKDOWN_TOL, BiorthogonalEigensystem
+from nhgeom.linalg import (
+    BREAKDOWN_TOL,
+    BiorthogonalEigensystem,
+    band_order,
+    eigenpairs,
+    eigenvalues,
+)
 
-from conftest import sorted_complex
+from conftest import imaginary_detuning_family, sorted_complex
 
 # What eigendecompose is checked to deliver on well-conditioned matrices:
 # residuals relative to the Frobenius norm of the input, and the
@@ -173,6 +179,48 @@ class TestStackedEigendecompose:
     def test_rejects_dimension_above_max(self):
         with pytest.raises(DimensionMismatchError, match="dimension 17 outside 1..16"):
             eigendecompose(np.eye(17))
+
+
+def bits(x):
+    """The bytes of an array, so that == compares bit for bit."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestEigensolverDriver:
+    def test_real_matrices_take_the_real_driver(self, family, rng):
+        h = family.matrices(rng.uniform(-2, 2, 30), rng.uniform(0, 2, 30))
+        assert h.dtype == complex and not h.imag.any()
+        w, v = np.linalg.eig(h.real)
+        got_w, got_v = eigenpairs(h)
+        assert got_w.dtype == got_v.dtype == complex
+        assert bits(got_w) == bits(w.astype(complex))
+        assert bits(got_v) == bits(v.astype(complex))
+        assert bits(eigenvalues(h)) == bits(np.linalg.eigvals(h.real).astype(complex))
+
+    def test_complex_matrices_keep_the_complex_driver(self, rng):
+        family = imaginary_detuning_family()
+        h = family.matrices(rng.uniform(0.1, 1, 30), rng.uniform(0, 2, 30))
+        assert h.imag.any(axis=(-2, -1)).all()
+        w, v = np.linalg.eig(h)
+        assert [bits(x) for x in eigenpairs(h)] == [bits(w), bits(v)]
+        assert bits(eigenvalues(h)) == bits(np.linalg.eigvals(h))
+        want = np.take_along_axis(w, band_order(w), axis=-1)
+        assert bits(eigendecompose(h).energies) == bits(want)
+
+    def test_mixed_stack_equals_each_matrix(self):
+        # Real on q1 = 0 and complex off it: each matrix of the stack gets
+        # the driver, and so the bits, it gets alone.
+        family = imaginary_detuning_family()
+        q1 = np.array([[0.0, 0.3, -0.0], [-0.4, 0.0, 0.2]])
+        h = family.matrices(q1, np.full(q1.shape, 1.7))
+        assert h.imag.any(axis=(-2, -1)).tolist() == [[False, True, False], [True, False, True]]
+        w, v = eigenpairs(h)
+        values = eigenvalues(h)
+        assert w.shape == values.shape == (2, 3, 3) and v.shape == (2, 3, 3, 3)
+        for k in np.ndindex(q1.shape):
+            one_w, one_v = eigenpairs(h[k])
+            assert bits(w[k]) == bits(one_w) and bits(v[k]) == bits(one_v)
+            assert bits(values[k]) == bits(eigenvalues(h[k]))
 
 
 # The kernel and the minimum-norm solves of A = H - E are taken from one

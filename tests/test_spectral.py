@@ -24,6 +24,7 @@ from nhgeom.model import ParameterPoint
 from nhgeom.spectral import TOUCH_NOISE_FACTOR, _discriminant_gradient, closest_pair
 
 from conftest import (
+    numpy_eigensolve,
     nv_axis_energies,
     reference_discriminant,
     reference_line_q2,
@@ -152,7 +153,7 @@ class TestFindEP:
             segments.append(((q1, q2 - below), (q1, q2 + above)))
         for segment in segments:
             ep = find_ep_on_segment(family, *segment)
-            w, v = np.linalg.eig(family.matrix(ep.point))
+            w, v = numpy_eigensolve(family.matrix(ep.point), vectors=True)
             v = v / np.linalg.norm(v, axis=0)
             assert ep.gap == float(closest_pair(w)[0])
             assert ep.defect_measure == float(np.linalg.svd(v.conj().T @ v, compute_uv=False)[-1])
