@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import EPNotFoundError, LostTrackError
-from .linalg import DEGENERACY_TOL, eigenpairs, eigenvalues, matrix_scale
+from .linalg import DEGENERACY_TOL, eigenpairs, eigenvalues, matrix_scale, norm
 from .model import ParameterPoint, as_point
 
 REALITY_TOL = 1e-8  # relative: max |Im E| for an unbroken spectrum
@@ -30,10 +29,23 @@ NEAR_EP_GAP_TOL = DEGENERACY_TOL  # relative: min gap at or below this means "at
 # segment; it is interpolated at twice that many nodes plus one, so the
 # coefficients above DISC_DEGREE measure the fit's round-off.
 DISC_DEGREE = 6
-_NODES = cheb.chebpts1(2 * DISC_DEGREE + 1)
+
+
+def _chebyshev_rows(x, deg):
+    """T_0(x) .. T_deg(x) as the rows of one array, by the recurrence of
+    numpy's chebvander, so that the rows are its columns bit for bit."""
+    rows = [np.ones_like(x), x]
+    for _ in range(deg - 1):
+        rows.append(rows[-1] * (2 * x) - rows[-2])
+    return np.array(rows)
+
+
+# The Chebyshev points of the first kind, by numpy's chebpts1 formula.
+_NODES = np.sin(0.5 * np.pi / (2 * DISC_DEGREE + 1)
+                * np.arange(-2 * DISC_DEGREE, 2 * DISC_DEGREE + 1, 2))
 # The interpolant's coefficients are _VANDER_T @ values * (2 / len(_NODES)),
 # by the discrete orthogonality of the Chebyshev polynomials at the nodes.
-_VANDER_T = cheb.chebvander(_NODES, 2 * DISC_DEGREE).T
+_VANDER_T = _chebyshev_rows(_NODES, 2 * DISC_DEGREE)
 # A stationary point of the discriminant is a touching zero when |disc|
 # there is within this many noise bounds.  Measured on the NV family over
 # 3,000 segments through the Dirac EP, true touches reach 2.24 bounds;
@@ -109,6 +121,11 @@ def phase_of(w, scale):
 
 
 def classify_phase(family, p):
+    """PT phase label of H(p): `phase_of` for one point of `family`.
+
+    The library's one-point entry point; sweeps call `phase_of` on their
+    stacked spectra instead.
+    """
     h = family.matrix(p)
     return phase_of(eigenvalues(h), matrix_scale(h))
 
@@ -203,17 +220,18 @@ def find_ep_on_segment(family, a, b):
     coef = _VANDER_T @ values * (2 / len(_NODES))
     coef[0] /= 2
     noise = float(np.abs(coef[DISC_DEGREE + 1:]).sum() + np.abs(values.imag).max())
-    p = coef[:DISC_DEGREE + 1].real
+    p = coef[:DISC_DEGREE + 1].real.tolist()
+    dp = _chebder(p)
     # Stationary points, and the segment's ends, where disc touches zero.
-    stationary = np.concatenate([_real_roots(cheb.chebder(p)), [-1.0, 1.0]])
-    touching = stationary[np.abs(cheb.chebval(stationary, p)) <= TOUCH_NOISE_FACTOR * noise]
+    stationary = np.concatenate([_real_roots(dp), [-1.0, 1.0]])
+    touching = stationary[np.abs(_chebval(stationary, p)) <= TOUCH_NOISE_FACTOR * noise]
     # Within the fit's root resolution of a touching zero, where |p| stays
     # below the touch threshold, noise can split the double root into two
     # sign changes; the touching point is the better estimate of it.
     crossings = _real_roots(p)
     if crossings.size and touching.size:
         with np.errstate(divide="ignore"):
-            curvature = np.abs(cheb.chebval(touching, cheb.chebder(p, 2)))
+            curvature = np.abs(_chebval(touching, _chebder(dp)))
             resolution = np.sqrt(2 * TOUCH_NOISE_FACTOR * noise / curvature)
         split = np.abs(crossings[:, None] - touching) <= resolution
         crossings = crossings[~split.any(axis=1)]
@@ -227,19 +245,81 @@ def find_ep_on_segment(family, a, b):
     w, v = eigenpairs(family.matrices(*points))
     gaps, i, j = closest_pair(w)
     k = gaps.argmin()  # the first smallest gap
-    v = v[k] / np.linalg.norm(v[k], axis=0)
+    v = v[k] / norm(v[k], 0)
     return EPLocation(
         point=ParameterPoint(points.q1[k], points.q2[k]),
-        coalesced_energy=complex(w[k, [i[k], j[k]]].mean()),
+        # The pair's mean; + 0.0 makes a -0.0 sum +0.0, as np.mean's does.
+        coalesced_energy=complex((w[k, i[k]] + w[k, j[k]] + 0.0) / 2),
         gap=float(gaps[k]),
         defect_measure=float(np.linalg.svd(v.conj().T @ v, compute_uv=False)[-1]),
     )
 
 
+# The fit's series have 7 terms (p) and 6 and 5 (p', p'').  These helpers
+# repeat numpy.polynomial.chebyshev's steps for them operation for
+# operation, so their results are chebder's, chebval's and chebroots's bit
+# for bit, without that module's generic argument handling.
+
+
+def _chebder(c):
+    """Derivative of the Chebyshev series `c`, a list of at least 3 floats,
+    by chebder's recurrence."""
+    c = list(c)
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _chebval(x, c):
+    """The Chebyshev series `c`, a list of at least 3 floats, at the points
+    `x`, by chebval's Clenshaw recurrence."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+@functools.lru_cache(maxsize=None)
+def _companion_base(n):
+    """What chebcompanion's n x n matrix owes nothing to the series: its
+    tridiagonal, and the column scale scl / scl[-1].  Both read-only."""
+    off = np.array([np.sqrt(.5)] + [1 / 2] * (n - 2))
+    mat = np.diag(off, 1) + np.diag(off, -1)
+    scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
+    scl = scl / scl[-1]
+    mat.setflags(write=False)
+    scl.setflags(write=False)
+    return mat, scl
+
+
 def _real_roots(c):
-    """Real roots in [-1, 1] of the Chebyshev series `c`."""
-    roots = cheb.chebroots(c)
-    roots = roots[roots.imag == 0].real
+    """Real roots in [-1, 1] of the Chebyshev series `c`, a list of floats.
+
+    chebroots's roots: trailing zero coefficients are trimmed, so that the
+    all-zero series has no roots and a line one, and otherwise the roots
+    are the sorted eigenvalues of the rotated companion matrix.
+    """
+    n = len(c) - 1
+    while n > 0 and c[n] == 0:
+        n -= 1
+    if n == 0:
+        return np.empty(0)
+    if n == 1:
+        roots = np.array([-c[0] / c[1]])
+    else:
+        mat, scl = _companion_base(n)
+        mat = mat.copy()
+        c = np.array(c[:n + 1])
+        mat[:, -1] -= (c[:-1] / c[-1]) * scl * .5
+        roots = np.linalg.eigvals(mat[::-1, ::-1])
+        roots.sort()
+        roots = roots[roots.imag == 0].real
     return roots[np.abs(roots) <= 1]
 
 

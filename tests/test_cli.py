@@ -1043,13 +1043,26 @@ def test_readme_chi_sweeps_raise_no_warning(runner, tmp_path, args):
     assert out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, nhgeom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def modules_loaded_by_cli_import(package):
+    """The modules of `package` in sys.modules after `import nhgeom.cli` in a
+    fresh interpreter."""
+    code = ("import sys, nhgeom.cli; print(sorted(m for m in sys.modules "
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # The locator's fixed-degree series code replaced it; the tests alone
+    # import it, as an oracle.
+    assert modules_loaded_by_cli_import("numpy.polynomial") == "[]"
 
 
 # The README's 8 commands and the sha256 of each data file, as written with

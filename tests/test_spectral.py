@@ -4,8 +4,11 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+# The oracle for the locator's fixed-degree series code; nhgeom itself does
+# not import numpy.polynomial.
+from numpy.polynomial import chebyshev as cheb
 
 from nhgeom import (
     EPKind,
@@ -20,10 +23,20 @@ from nhgeom import (
     trace_exceptional_line,
 )
 from nhgeom import spectral
-from nhgeom.model import ParameterPoint
-from nhgeom.spectral import TOUCH_NOISE_FACTOR, _discriminant_gradient, closest_pair
+from nhgeom.linalg import eigenpairs
+from nhgeom.model import ParameterPoint, as_point
+from nhgeom.spectral import (
+    TOUCH_NOISE_FACTOR,
+    EPLocation,
+    _chebder,
+    _chebval,
+    _discriminant_gradient,
+    _real_roots,
+    closest_pair,
+)
 
 from conftest import (
+    imaginary_detuning_family,
     numpy_eigensolve,
     nv_axis_energies,
     reference_discriminant,
@@ -176,10 +189,9 @@ class TestFindEP:
         for segment in (((0.0, 0.5), (0.0, 1.3)), ((0.0, 1.2), (0.0, 1.7))):
             calls.clear()
             find_ep_on_segment(family, *segment)
-            # chebroots takes the roots as the eigvals of companion matrices.
-            assert {key for key in calls if key[0] != "eigvals"} == {("eig", "stack")}
-            assert calls["eig", "stack"] == 1
-            assert calls["eigvals", "stack"] == 0
+            # One eigvals each for the companion matrices of p' and p, and
+            # one eig for the stack of candidates.
+            assert calls == Counter({("eigvals", "one"): 2, ("eig", "stack"): 1})
 
     def test_defect_measure_small(self, family):
         ep = find_ep_on_segment(family, (0.0, 1.2), (0.0, 1.7))
@@ -558,3 +570,161 @@ class TestClosestPair:
         for k, w in enumerate(rows):
             gap, a, b = closest_pair(w)
             assert (bits(gaps[k]), i[k], j[k]) == (bits(gap), a, b)
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+# Coefficients of either sign over six decades, and exact zeros.
+coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def series(draw, terms):
+    """`terms` Chebyshev coefficients whose top ones may be exactly 0, all of
+    them included."""
+    c = draw(st.lists(coefficients, min_size=terms, max_size=terms))
+    zeros = draw(st.integers(0, terms))
+    return c[:terms - zeros] + [0.0] * zeros
+
+
+abscissae = st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=8).map(np.array)
+
+
+class TestFixedDegreeSeries:
+    """The locator's series helpers against numpy.polynomial.chebyshev."""
+
+    def test_nodes_and_table(self):
+        nodes = cheb.chebpts1(2 * spectral.DISC_DEGREE + 1)
+        table = cheb.chebvander(nodes, 2 * spectral.DISC_DEGREE).T
+        assert same_bits(spectral._NODES, nodes)
+        assert same_bits(spectral._VANDER_T, table)
+        assert spectral._VANDER_T.strides == table.strides
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(series(7), series(6)))
+    @example([0.0] * 7)
+    @example([0.0] * 6)
+    def test_derivatives(self, c):
+        assert same_bits(_chebder(c), cheb.chebder(c))
+        assert same_bits(_chebder(_chebder(c)), cheb.chebder(c, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(series(7), series(6), series(5)), abscissae)
+    @example([0.0] * 7, np.array([-1.0, 1.0]))
+    def test_clenshaw(self, c, x):
+        assert same_bits(_chebval(x, c), cheb.chebval(x, c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(series(7), series(6)))
+    @example([0.0] * 7)
+    @example([0.0] * 6)
+    @example([0.5, 2.0] + [0.0] * 5)
+    @example([-1.0, 0.0, 1.0] + [0.0] * 4)
+    def test_real_roots(self, c):
+        roots = cheb.chebroots(c)
+        roots = roots[roots.imag == 0].real
+        assert same_bits(_real_roots(c), roots[np.abs(roots) <= 1])
+
+
+REFERENCE_NODES = cheb.chebpts1(13)
+REFERENCE_VANDER_T = cheb.chebvander(REFERENCE_NODES, 12).T
+
+
+def reference_find_ep(family, a, b):
+    """`find_ep_on_segment` as written on numpy.polynomial: its fit rooted by
+    chebroots, differentiated by chebder and evaluated by chebval, and its
+    energy a fancy-indexed mean."""
+    a, b = as_point(a), as_point(b)
+
+    def point_at(x):
+        t = (1 + x) / 2
+        return ParameterPoint(a.q1 + t * (b.q1 - a.q1), a.q2 + t * (b.q2 - a.q2))
+
+    def real_roots(c):
+        roots = cheb.chebroots(c)
+        roots = roots[roots.imag == 0].real
+        return roots[np.abs(roots) <= 1]
+
+    values = spectral._discriminant(family, *point_at(REFERENCE_NODES))
+    coef = REFERENCE_VANDER_T @ values * (2 / len(REFERENCE_NODES))
+    coef[0] /= 2
+    noise = float(np.abs(coef[7:]).sum() + np.abs(values.imag).max())
+    p = coef[:7].real
+    stationary = np.concatenate([real_roots(cheb.chebder(p)), [-1.0, 1.0]])
+    touching = stationary[np.abs(cheb.chebval(stationary, p)) <= TOUCH_NOISE_FACTOR * noise]
+    crossings = real_roots(p)
+    if crossings.size and touching.size:
+        with np.errstate(divide="ignore"):
+            curvature = np.abs(cheb.chebval(touching, cheb.chebder(p, 2)))
+            resolution = np.sqrt(2 * TOUCH_NOISE_FACTOR * noise / curvature)
+        split = np.abs(crossings[:, None] - touching) <= resolution
+        crossings = crossings[~split.any(axis=1)]
+    candidates = np.concatenate([crossings, touching])
+    if candidates.size == 0:
+        raise EPNotFoundError(
+            f"the discriminant on segment {a} -> {b} neither changes sign nor "
+            f"touches zero within {TOUCH_NOISE_FACTOR} x its fit noise {noise:.3e}"
+        )
+    points = point_at(candidates)
+    w, v = eigenpairs(family.matrices(*points))
+    gaps, i, j = closest_pair(w)
+    k = gaps.argmin()
+    v = v[k] / np.linalg.norm(v[k], axis=0)
+    return EPLocation(
+        point=ParameterPoint(points.q1[k], points.q2[k]),
+        coalesced_energy=complex(w[k, [i[k], j[k]]].mean()),
+        gap=float(gaps[k]),
+        defect_measure=float(np.linalg.svd(v.conj().T @ v, compute_uv=False)[-1]),
+    )
+
+
+def outcome(locate, family, segment):
+    """repr of the EPLocation, or the type and message of the exception."""
+    try:
+        return repr(locate(family, *segment))
+    except EPNotFoundError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def locator_segments(rng):
+    """Segments through (0, 1), across the exceptional line, at random in
+    the phase box (about half find nothing), and of zero length."""
+    segments = [
+        segment_through((0.0, 1.0), rng.uniform(0.0, 2 * math.pi), *rng.uniform(0.02, 1.0, 2))
+        for _ in range(100)
+    ]
+    for q1, angle, before, after in zip(rng.uniform(-0.9, 0.9, 60), rng.uniform(0, math.pi, 60),
+                                        *rng.uniform(0.05, 0.3, (2, 60))):
+        segments.append(segment_through((q1, float(reference_line_q2(q1))), angle, before, after))
+    segments += [((q1, q2), (r1, r2)) for q1, q2, r1, r2 in rng.uniform((-2, 0, -2, 0), 2, (140, 4))]
+    return segments + [(p, p) for p in ((0.0, 1.0), (0.0, float(Q2_STAR)), (0.5, 0.5))]
+
+
+class TestLocatorMatchesNumpyPolynomial:
+    @pytest.mark.filterwarnings("error")
+    def test_nv_family(self, family, rng):
+        segments = locator_segments(rng)
+        found = 0
+        for segment in segments:
+            got = outcome(find_ep_on_segment, family, segment)
+            assert got == outcome(reference_find_ep, family, segment), segment
+            found += not got.startswith("EPNotFoundError")
+        assert 200 < found < len(segments)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_family(self, rng):
+        family = imaginary_detuning_family()
+        for segment in locator_segments(rng)[-60:]:
+            assert outcome(find_ep_on_segment, family, segment) == outcome(
+                reference_find_ep, family, segment), segment
+
+    def test_zero_length_segment_at_the_dirac_ep(self, family):
+        # All 13 discriminant samples are exactly 0: no root of p or p', and
+        # both ends touch.
+        ep = find_ep_on_segment(family, (0.0, 1.0), (0.0, 1.0))
+        assert (ep.point, ep.gap) == (ParameterPoint(0.0, 1.0), 0.0)
