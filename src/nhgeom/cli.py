@@ -1,11 +1,9 @@
 """Command-line driver: parameter-space scans with reproducible outputs.
 
 Every subcommand writes a CSV or JSON data file plus a manifest JSON
-recording the fully resolved configuration, tool, python, numpy and click
-versions, wall time, row count and `write_s`, the part of the wall time
-spent writing the data file (and, for sweeps, the number of cells of
-each status; for ep-locate and trace-line, the largest residual gap and
-|discriminant| over the located points).
+recording the resolved configuration, versions, wall time, row count,
+`write_s` and the run's evidence (cells per status or phase label; the
+largest residual gap, |discriminant| and its bound over located EPs).
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -26,15 +24,13 @@ import numpy as np
 from . import __version__
 from .errors import NhgeomError
 from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
-from .linalg import band_order, eigenvalues, matrix_scale
+from .linalg import band_order, eigenvalues
 from .model import _FAMILIES, get_family
 from .jordan import _classify, _dispersion, classify_ep, jordan_chain
 from .spectral import (
     EPKind,
     Phase,
-    _discriminant,
     closest_pair,
-    discriminant,
     find_ep_on_segment,
     phase_of,
     trace_exceptional_line,
@@ -313,8 +309,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     q1_axis, q2_axis = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
     q2s, q1s = np.meshgrid(q2_axis, q1_axis, indexing="ij")
     h = family.matrices(q1s.ravel(), q2s.ravel())
-    w = eigenvalues(h)
-    labels = phase_of(w, matrix_scale(h)).label
+    labels, w = phase_of(h).label, eigenvalues(h)
     w = np.take_along_axis(w, band_order(w), axis=-1)
     nb = w.shape[-1]  # rows run over q2, then q1, then band
 
@@ -324,6 +319,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     phases = np.empty(labels.shape, dtype=object)
     for phase in Phase:
         phases[labels == phase] = phase.value
+    names, counts = np.unique(phases, return_counts=True)  # cells per label
     columns = [
         np.tile(np.repeat(reprs(q1_axis), nb), ny).tolist(),
         np.repeat(reprs(q2_axis), nb * nx).tolist(),
@@ -332,7 +328,7 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
         list(map(repr, w.imag.ravel().tolist())),
         np.repeat(phases, nb).tolist(),
     ]
-    return write_rows(
+    return {"phase": dict(zip(names.tolist(), counts.tolist()))} | write_rows(
         out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], columns
     )
 
@@ -430,10 +426,9 @@ def cmd_ep_locate(family, out, fmt, segment):
         kind = classify_ep(family, ep)
     except NhgeomError:
         kind = EPKind.UNCLASSIFIED
-    evidence = {
-        "residual_gap": ep.gap,
-        "discriminant": abs(discriminant(family, ep.point)),
-    }
+    label = phase_of(family.matrix(ep.point))
+    evidence = {"residual_gap": ep.gap, "discriminant": abs(label.discriminant),
+                "discriminant_bound": label.bound}
     if fmt == "json":
         return evidence | write_record(out, {
             "point": [ep.point.q1, ep.point.q2],
@@ -461,11 +456,10 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
         raise click.UsageError(f"--step must be finite and nonzero, got {step}")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
-    q1, q2 = np.array([ep.point for ep in points]).T
-    evidence = {
-        "residual_gap": max(ep.gap for ep in points),
-        "discriminant": float(np.abs(_discriminant(family, q1, q2)).max()),
-    }
+    label = phase_of(family.matrices(*np.array([ep.point for ep in points]).T))
+    evidence = {"residual_gap": max(ep.gap for ep in points),
+                "discriminant": float(np.abs(label.discriminant).max()),
+                "discriminant_bound": float(label.bound.max())}
     return evidence | write_rows(out, fmt, EP_HEADER, ep_columns(points))
 
 

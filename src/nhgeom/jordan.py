@@ -219,8 +219,5 @@ def _classify(family, point, chain):
         if abs(a_coefficient(chain, dh)) > tol * np.linalg.norm(dh):
             return EPKind.CONVENTIONAL
     angles = [2 * math.pi * k / RING_SAMPLES for k in range(RING_SAMPLES)]
-    ring = family.matrices(*circle_points(point, [NEIGHBOR_RADIUS], angles))
-    labels = phase_of(eigenvalues(ring), matrix_scale(ring)).label
-    if any(label is not Phase.UNBROKEN for label in labels):
-        return EPKind.CONVENTIONAL
-    return EPKind.DIRAC
+    labels = phase_of(family.matrices(*circle_points(point, [NEIGHBOR_RADIUS], angles))).label
+    return EPKind.DIRAC if all(x is Phase.UNBROKEN for x in labels) else EPKind.CONVENTIONAL

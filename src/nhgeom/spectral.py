@@ -1,15 +1,10 @@
-"""Spectral phase classification and exceptional-point location.
-
-The phase of a parameter point is read off the spectrum alone: a real
-spectrum with resolvable gaps is "unbroken", complex eigenvalues mean
-"broken", and a collapsed gap means the point sits at (or numerically on
-top of) an exceptional point.  EPs are located on parameter segments
-from the roots of the characteristic polynomial's discriminant, a
-degree-6 polynomial along any segment of a 3x3 family: a sign change
-crosses the exceptional line, a touching zero is the Dirac EP.
-Exceptional lines are traced by predictor-corrector continuation: the
-first step follows the tangent that the discriminant's analytic gradient
-gives, and each point costs one locator call.
+"""PT phase, EP location and exceptional-line tracing, for any n, from
+Hermite's form of the characteristic polynomial: the Hankel matrix
+P_ij = p_(i+j) of the power sums p_k = tr H^k (Basu, Pollack & Roy,
+*Algorithms in Real Algebraic Geometry*, 2006, ch. 4).  det P is the
+discriminant prod_(i<j) (E_i - E_j)^2, and for a real characteristic
+polynomial P is positive definite exactly when the spectrum is real and
+simple.
 """
 
 import enum
@@ -20,38 +15,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EPNotFoundError, LostTrackError
-from .linalg import DEGENERACY_TOL, eigenpairs, eigenvalues, matrix_scale, norm
+from .linalg import eigenpairs, norm
 from .model import ParameterPoint, as_point
 
-REALITY_TOL = 1e-8  # relative: max |Im E| for an unbroken spectrum
-NEAR_EP_GAP_TOL = DEGENERACY_TOL  # relative: min gap at or below this means "at an EP"
-# The discriminant of a 3x3 family is a degree-6 polynomial along a
-# segment; it is interpolated at twice that many nodes plus one, so the
-# coefficients above DISC_DEGREE measure the fit's round-off.
-DISC_DEGREE = 6
-
-
-def _chebyshev_rows(x, deg):
-    """T_0(x) .. T_deg(x) as the rows of one array, by the recurrence of
-    numpy's chebvander, so that the rows are its columns bit for bit."""
-    rows = [np.ones_like(x), x]
-    for _ in range(deg - 1):
-        rows.append(rows[-1] * (2 * x) - rows[-2])
-    return np.array(rows)
-
-
-# The Chebyshev points of the first kind, by numpy's chebpts1 formula.
-_NODES = np.sin(0.5 * np.pi / (2 * DISC_DEGREE + 1)
-                * np.arange(-2 * DISC_DEGREE, 2 * DISC_DEGREE + 1, 2))
-# The interpolant's coefficients are _VANDER_T @ values * (2 / len(_NODES)),
-# by the discrete orthogonality of the Chebyshev polynomials at the nodes.
-_VANDER_T = _chebyshev_rows(_NODES, 2 * DISC_DEGREE)
-# A stationary point of the discriminant is a touching zero when |disc|
-# there is within this many noise bounds.  Measured on the NV family over
-# 3,000 segments through the Dirac EP, true touches reach 2.24 bounds;
-# segments passing 1e-6 from it stay above 86.  `trace_exceptional_line`
-# holds the gradient at its seed to the same factor of its round-off bound.
+# Within this many round-off bounds a quantity is zero: the phase rule's
+# discriminant, the locator's touching zeros (true touches reach 2.34 fit
+# noise bounds on NV, misses by 1e-6 stay above 14) and the seed gradient.
 TOUCH_NOISE_FACTOR = 10
+_UNIT = np.finfo(float).eps / 2  # the unit round-off
+
+
+@functools.lru_cache(maxsize=None)
+def _fit(deg):
+    """The locator's 2 deg + 1 Chebyshev nodes (numpy's chebpts1) and the
+    table T_j(x_i) (chebvander's recurrence) whose product with the values,
+    times 2 / (2 deg + 1), gives the fit's coefficients.  Both read-only."""
+    nodes = np.sin(0.5 * np.pi / (2 * deg + 1) * np.arange(-2 * deg, 2 * deg + 1, 2))
+    rows = [np.ones_like(nodes), nodes]
+    for _ in range(2 * deg - 1):
+        rows.append(rows[-1] * (2 * nodes) - rows[-2])
+    table = np.array(rows[:2 * deg + 1])
+    nodes.setflags(write=False)
+    table.setflags(write=False)
+    return nodes, table
 
 
 class Phase(enum.Enum):
@@ -62,9 +48,11 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class PhaseLabel:
+    """A phase label and its evidence: det P and its round-off bound."""
+
     label: Phase
-    max_imag: float
-    min_gap: float
+    discriminant: float
+    bound: float
 
 
 class EPKind(enum.Enum):
@@ -87,6 +75,15 @@ def _pairs(n):
     return np.triu_indices(n, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _hankel(n):
+    """The n x n index array i + j, which builds P from the power sums."""
+    return np.add.outer(np.arange(n), np.arange(n))
+
+
+_eye = functools.lru_cache(maxsize=None)(np.eye)  # shared identities: read only
+
+
 def closest_pair(w):
     """(gap, i, j): the smallest |w[i] - w[j]| over i < j, the first such pair.
 
@@ -101,114 +98,124 @@ def closest_pair(w):
     return gaps.min(axis=-1), i[k], j[k]
 
 
-# Indexed by 2 * near_ep + broken: a collapsed gap outranks complex energies.
-_PHASES = np.array([Phase.UNBROKEN, Phase.BROKEN, Phase.NEAR_EP, Phase.NEAR_EP])
+def _power_sums(h):
+    """p_k = tr(H^(k - k//2) H^(k//2)), k < 2n - 1, of each matrix of the stack
+    `h` (..., n, n), as (2n - 1, ...).  matmul and einsum treat each matrix
+    alike, so it gets the same bits alone as in a stack; real stacks run real."""
+    n = h.shape[-1]
+    h = np.ascontiguousarray(h if h.imag.any() else h.real)
+    powers = [_eye(n), h]  # H^0 .. H^(n-1)
+    for _ in range(n - 2):
+        powers.append(powers[-1] @ h)
+    sums = np.empty((2 * n - 1,) + h.shape[:-2], h.dtype)
+    sums[0] = n
+    for k in range(1, 2 * n - 1):
+        np.einsum("...ij,...ji->...", powers[k - k // 2], powers[k // 2], out=sums[k, ...])
+    return sums
 
 
-def phase_of(w, scale):
-    """PT phase label of the eigenvalues `w` (..., n) of matrices of norm `scale`.
+def _hermite(p):
+    """Pivots d (a list of n arrays) of the unpivoted LDL^T of the Hermite form
+    P of the power sums p (2n - 1, ...), det P = prod d, and the (n, n, ...)
+    array whose entries below the diagonal are L's.  A zero pivot eliminates
+    nothing."""
+    n = (len(p) + 1) // 2
+    a = p[_hankel(n)]
+    for k in range(n - 1):
+        a[k + 1:, k] /= np.where(a[k, k] == 0, np.inf, a[k, k])
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
+    return [a[k, k] for k in range(n)], a
 
-    One spectrum gives a PhaseLabel of a Phase and two floats; a stack of
-    spectra gives one of arrays over the stack (Phase members in an object
-    array).  The gap is `closest_pair`'s.
-    """
-    gap = closest_pair(w)[0]
-    max_imag = np.maximum.reduce(np.abs(w.imag), axis=-1)
-    if w.ndim == 1:
-        gap, max_imag, scale = float(gap), float(max_imag), float(scale)
-    code = 2 * (gap <= NEAR_EP_GAP_TOL * scale) + (max_imag > REALITY_TOL * scale)
-    return PhaseLabel(label=_PHASES[code], max_imag=max_imag, min_gap=gap)
+
+def _adjugate(d, a):
+    """adj P = G^T diag(delta) G, G = L^-1 and delta_k the product of the
+    pivots but d_k: det P P^-1 with no division, so finite where P is
+    singular (at an EP).  `d` and `a` are `_hermite`'s."""
+    n = len(d)
+    g = _eye(n).reshape(a.shape[:2] + (1,) * (a.ndim - 2)) + np.zeros_like(a)
+    for k in range(n - 1):
+        g[k + 1:] -= a[k + 1:, k, None] * g[k]
+    delta = [functools.reduce(np.multiply, d[:k] + d[k + 1:], 1) for k in range(n)]
+    return sum(delta[k] * g[k, :, None] * g[k] for k in range(n))
+
+
+# Indexed by real * (2 * near_ep + unbroken).
+_LABELS = np.array([Phase.BROKEN, Phase.UNBROKEN, Phase.NEAR_EP, Phase.NEAR_EP])
+
+
+def phase_of(h):
+    """PT phase label of the matrix `h` (n, n), or of each of a stack
+    (..., n, n), from its Hermite form P.  Each p_k is within
+    b_k = (k + 1) n u m_k, u the unit round-off and m_k = tr |H|^k (k rounds
+    of n-term sums for H^k and its trace, about n in the elimination).
+    broken if a p_k is not real beyond TOUCH_NOISE_FACTOR b_k (a non-real
+    coefficient means a non-real eigenvalue); else, from Re P, near_ep if
+    |det P| is within TOUCH_NOISE_FACTOR sum_ij |adj P|_ij b_(i+j), unbroken
+    if every pivot of P is positive (Sylvester), else broken.  A stack gives
+    a PhaseLabel of arrays (Phase members in an object array)."""
+    n = h.shape[-1]
+    p, m = _power_sums(np.stack([h, np.abs(h)])).swapaxes(0, 1)
+    bound = (np.arange(1, 2 * n) * n * _UNIT).reshape((-1,) + (1,) * (p.ndim - 1)) * m.real
+    d, a = _hermite(p.real)
+    disc = functools.reduce(np.multiply, d)
+    disc_bound = sum(sum(np.abs(_adjugate(d, a)) * bound[_hankel(n)]))  # summed in order
+    real = not np.iscomplexobj(p) or (np.abs(p.imag) <= TOUCH_NOISE_FACTOR * bound).all(axis=0)
+    near = np.abs(disc) <= TOUCH_NOISE_FACTOR * disc_bound
+    code = real * (2 * near + functools.reduce(np.logical_and, [x > 0 for x in d]))
+    return PhaseLabel(_LABELS[code], disc, disc_bound)
 
 
 def classify_phase(family, p):
-    """PT phase label of H(p): `phase_of` for one point of `family`.
-
-    The library's one-point entry point; sweeps call `phase_of` on their
-    stacked spectra instead.
-    """
-    h = family.matrix(p)
-    return phase_of(eigenvalues(h), matrix_scale(h))
+    """PT phase label of H(p): `phase_of` for one point of `family`."""
+    return phase_of(family.matrix(p))
 
 
 def discriminant(family, p):
-    """Discriminant of the cubic characteristic polynomial of H(p).
-
-    Coefficients are extracted from traces via Newton's identities; the
-    result vanishes exactly at spectral degeneracies.  Raises ValueError
-    for a family that is not 3x3.
-    """
+    """Discriminant prod_(i<j) (E_i - E_j)^2 = det P of H(p), for any n."""
     return complex(_discriminant(family, *as_point(p)))
-
-
-def _cubic(family, q1, q2):
-    """H, H^2, p1 = tr H, p2 = tr H^2 and, by Newton's identities, (b, c, d)
-    of the monic cubic x^3 + b x^2 + c x + d of H at each point (q1[k], q2[k])."""
-    if family.dimension != 3:
-        raise ValueError(f"discriminant requires a 3x3 family, not {family.name!r}")
-    h = family.matrices(q1, q2)
-    hh = h @ h
-    p1, p2, p3 = (np.trace(m, axis1=-2, axis2=-1) for m in (h, hh, hh @ h))
-    e2 = (p1 * p1 - p2) / 2
-    e3 = (p1 ** 3 - 3 * p1 * p2 + 2 * p3) / 6
-    return h, hh, p1, p2, (-p1, e2, -e3)
 
 
 def _discriminant(family, q1, q2):
     """`discriminant` at each point (q1[k], q2[k]) of equal-shape arrays."""
-    b, c, d = _cubic(family, q1, q2)[-1]
-    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+    return functools.reduce(np.multiply, _hermite(_power_sums(family.matrices(q1, q2)))[0]) + 0j
 
 
 def _discriminant_gradient(family, p):
-    """(d disc/dq1, d disc/dq2), the real parts, at the point p, and a bound
-    on the round-off of each.
-
-    It differentiates `_discriminant`'s own steps: d p_k = k tr(H^(k-1) dH)
-    with dH from `family.gradient`, then Newton's identities and the
-    discriminant's polynomial in (b, c, d).  The bound is eps times the same
-    sums taken over the absolute values of their terms.
-    """
+    """(d disc/dq1, d disc/dq2), real parts, at p by Jacobi's formula,
+    sum_ij (adj P)_ij dp_(i+j) with dp_k = k tr(H^(k-1) dH), and a round-off
+    bound on each: dp_k is within (2n - 1) n u of its sum over magnitudes
+    dm_k, and a cofactor of row i, within R_i (the product of the other rows'
+    magnitude sums of P), is off by (n - 1) as many: (2n - 1) n^2 u sum R_i dm."""
     p = as_point(p)
-    h, hh, p1, p2, (b, c, d) = _cubic(family, *p)
-    dh = np.stack(family.gradient(p))  # (2, 3, 3): dH/dq1, dH/dq2
-    dp1, dp2, dp3 = (k * np.trace(m, axis1=-2, axis2=-1)
-                     for k, m in ((1, dh), (2, h @ dh), (3, hh @ dh)))
-    dc = p1 * dp1 - dp2 / 2
-    dd = -(3 * (p1 * p1 - p2) * dp1 - 3 * p1 * dp2 + 2 * dp3) / 6
-    grad = ((18 * c * d - 12 * b * b * d + 2 * b * c * c) * -dp1  # db = -dp1
-            + (18 * b * d + 2 * b * b * c - 12 * c * c) * dc
-            + (18 * b * c - 4 * b ** 3 - 54 * d) * dd)
-    # The same sums over the absolute values of their terms, for the bound.
-    b, c, d, p1, p2, dp1, dp2, dp3 = map(np.abs, (b, c, d, p1, p2, dp1, dp2, dp3))
-    dc = p1 * dp1 + dp2 / 2
-    dd = ((p1 * p1 + p2) * dp1 + p1 * dp2) / 2 + dp3 / 3
-    terms = ((18 * c * d + 12 * b * b * d + 2 * b * c * c) * dp1
-             + (18 * b * d + 2 * b * b * c + 12 * c * c) * dc
-             + (18 * b * c + 4 * b ** 3 + 54 * d) * dd)
-    return grad.real, np.finfo(float).eps * terms
+    h = family.matrix(p)
+    n = len(h)
+    adj = _adjugate(*_hermite(_power_sums(h)))
+    rows = _power_sums(np.abs(h))[_hankel(n)].sum(axis=1)
+    r = np.array([np.prod(np.delete(rows, i)) for i in range(n)])[:, None]
+
+    def dsums(x, dx):  # k tr(X^(k-1) dX) for k = 0 .. 2n - 2, as P's entries
+        return np.array([0] + [k * np.trace(np.linalg.matrix_power(x, k - 1) @ dx)
+                               for k in range(1, 2 * n - 1)])[_hankel(n)]
+
+    grads = [(np.sum(adj * dsums(h, dh)).real,
+              (2 * n - 1) * n * n * _UNIT * np.sum(r * dsums(np.abs(h), np.abs(dh))))
+             for dh in family.gradient(p)]
+    return tuple(np.array(x) for x in zip(*grads))
 
 
 def find_ep_on_segment(family, a, b):
     """Locate an exceptional point on the parameter segment a -> b.
 
-    H is affine in (q1, q2), so along the segment the discriminant of a
-    3x3 family is a polynomial of degree 6 in t.  It is interpolated at
-    13 Chebyshev nodes; the coefficients above degree 6 are round-off, and
-    their size plus the largest |Im disc| bounds the fit's noise.  An EP
-    is a real root of the degree-6 part p in [0, 1] (a sign change: the
-    segment crosses the exceptional line), or a root of p' or an end of
-    the segment where |p| is within TOUCH_NOISE_FACTOR noise bounds (a
-    touching zero, as at the Dirac EP, which lies inside the PT-unbroken
-    phase).  A sign change within the fit's root resolution of a touching
-    zero, sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|), is the touching zero
-    split by noise and gives way to it.  The remaining candidates are
-    ranked by one stacked `eigenpairs`, and the first with the smallest
-    eigenvalue gap is returned, as an EPLocation whose evidence comes from
-    the same `eigenpairs`: its gap, the mean of the closest pair as its energy,
-    and as its defect the smallest singular value of the Gram matrix of
-    its unit right eigenvectors, zero where two of them coincide;
-    `jordan.classify_ep` gives its kind.  Raises EPNotFoundError when
-    there is no candidate, and ValueError for a family that is not 3x3.
+    Along the segment the discriminant of an n x n family, affine in
+    (q1, q2), is a polynomial p of degree n(n - 1), fitted at 2n(n - 1) + 1
+    Chebyshev nodes; the coefficients above n(n - 1) and the largest
+    |Im disc| bound the fit's noise.  A candidate is a real root of p (a
+    crossing), or a root of p' or an end where |p| is within
+    TOUCH_NOISE_FACTOR noise bounds (a touching zero, as at the Dirac EP);
+    a crossing within sqrt(2 TOUCH_NOISE_FACTOR noise / |p''|) of a touching
+    zero is that zero split by noise.  One stacked `eigenpairs` ranks the
+    candidates by gap and gives the EPLocation's evidence (the gap, energy
+    and Gram-matrix defect).  Raises EPNotFoundError with no candidate.
     """
     a, b = as_point(a), as_point(b)
 
@@ -216,11 +223,13 @@ def find_ep_on_segment(family, a, b):
         t = (1 + x) / 2
         return ParameterPoint(a.q1 + t * (b.q1 - a.q1), a.q2 + t * (b.q2 - a.q2))
 
-    values = _discriminant(family, *point_at(_NODES))
-    coef = _VANDER_T @ values * (2 / len(_NODES))
+    deg = family.dimension * (family.dimension - 1)
+    nodes, table = _fit(deg)
+    values = _discriminant(family, *point_at(nodes))
+    coef = table @ values * (2 / len(nodes))
     coef[0] /= 2
-    noise = float(np.abs(coef[DISC_DEGREE + 1:]).sum() + np.abs(values.imag).max())
-    p = coef[:DISC_DEGREE + 1].real.tolist()
+    noise = float(np.abs(coef[deg + 1:]).sum() + np.abs(values.imag).max())
+    p = coef[:deg + 1].real.tolist()
     dp = _chebder(p)
     # Stationary points, and the segment's ends, where disc touches zero.
     stationary = np.concatenate([_real_roots(dp), [-1.0, 1.0]])
@@ -255,29 +264,34 @@ def find_ep_on_segment(family, a, b):
     )
 
 
-# The fit's series have 7 terms (p) and 6 and 5 (p', p'').  These helpers
-# repeat numpy.polynomial.chebyshev's steps for them operation for
-# operation, so their results are chebder's, chebval's and chebroots's bit
-# for bit, without that module's generic argument handling.
+# These helpers repeat numpy.polynomial.chebyshev's steps for the fit's
+# series operation for operation, so their results are chebder's, chebval's
+# and chebroots's bit for bit, without that module's generic argument
+# handling.
 
 
 def _chebder(c):
-    """Derivative of the Chebyshev series `c`, a list of at least 3 floats,
-    by chebder's recurrence."""
+    """Derivative of the Chebyshev series `c`, a nonempty list of floats, by
+    chebder's recurrence."""
     c = list(c)
     n = len(c) - 1
+    if n == 0:
+        return [c[0] * 0]
     der = [0.0] * n
     for j in range(n, 2, -1):
         der[j - 1] = (2 * j) * c[j]
         c[j - 2] += (j * c[j]) / (j - 2)
-    der[1] = 4 * c[2]
+    if n > 1:
+        der[1] = 4 * c[2]
     der[0] = c[1]
     return der
 
 
 def _chebval(x, c):
-    """The Chebyshev series `c`, a list of at least 3 floats, at the points
+    """The Chebyshev series `c`, a nonempty list of floats, at the points
     `x`, by chebval's Clenshaw recurrence."""
+    if len(c) == 1:
+        return c[0] + 0 * x
     x2 = 2 * x
     c0, c1 = c[-2], c[-1]
     for i in range(3, len(c) + 1):
@@ -299,12 +313,9 @@ def _companion_base(n):
 
 
 def _real_roots(c):
-    """Real roots in [-1, 1] of the Chebyshev series `c`, a list of floats.
-
-    chebroots's roots: trailing zero coefficients are trimmed, so that the
-    all-zero series has no roots and a line one, and otherwise the roots
-    are the sorted eigenvalues of the rotated companion matrix.
-    """
+    """Real roots in [-1, 1] of the Chebyshev series `c`, a list of floats:
+    chebroots's, with trailing zeros trimmed (the all-zero series has none,
+    a line one) and else the sorted eigenvalues of the rotated companion."""
     n = len(c) - 1
     while n > 0 and c[n] == 0:
         n -= 1
@@ -331,17 +342,15 @@ def _in_box(p, box):
 def trace_exceptional_line(family, seed, step, max_points, box=(-2, 2, 0, 2)):
     """Predictor-corrector continuation of an exceptional line from `seed`.
 
-    The first predictor steps |step| along the discriminant's zero-set
-    tangent at the seed, sign(step) (-d2 disc, d1 disc) / |grad disc|, so a
-    positive step keeps the PT-unbroken side (disc > 0) on its right; later
-    ones step along the secant of the last two points.  One
+    The first predictor steps |step| along sign(step) (-d2 disc, d1 disc),
+    the zero set's tangent, so a positive step keeps the PT-unbroken side
+    (disc > 0) on its right; later ones step along the last secant.  One
     find_ep_on_segment call across each prediction, of half-width
-    0.6 |step|, corrects it.  Stops at `max_points` points or when a
-    predicted or corrected point leaves `box` = (q1min, q1max, q2min,
-    q2max).  Raises ValueError for a zero or non-finite step, and
-    LostTrackError when the gradient at the seed is within
-    TOUCH_NOISE_FACTOR round-off bounds of zero, as at a singular point such
-    as the isolated Dirac EP, or when a corrector finds no EP.
+    0.6 |step|, corrects it.  Stops at `max_points` or when a point leaves
+    `box` = (q1min, q1max, q2min, q2max).  Raises ValueError for a zero or
+    non-finite step, and LostTrackError when the seed's gradient is within
+    TOUCH_NOISE_FACTOR round-off bounds of zero (a singular point such as
+    the Dirac EP) or a corrector finds no EP.
     """
     if not (math.isfinite(step) and step != 0):
         raise ValueError(f"step must be finite and nonzero, got {step}")

@@ -25,14 +25,13 @@ from nhgeom import (
     NotDefectiveError,
     eigendecompose,
     fidelity,
-    nv_family,
     susceptibility,
 )
 from nhgeom import cli
 from nhgeom.cli import main, write_rows
 from nhgeom.geometry import band_index
-from nhgeom.spectral import NEAR_EP_GAP_TOL, REALITY_TOL, closest_pair
 
+import exact
 from conftest import imaginary_detuning_family, numpy_eigensolve, stacked
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,22 +187,17 @@ class TestSpectrumScan:
 SPECTRUM_HEADER = ["q1", "q2", "band", "re_energy", "im_energy", "phase"]
 
 
-def reference_spectrum_rows(family, q1s, q2s):
+def reference_spectrum_rows(family, q1s, q2s, phases):
     """spectrum-scan rows built point by point: one eigvals per cell, by
-    the real-driver rule, numpy's Frobenius norm for the scale,
-    `closest_pair` for the gap and the (Re desc, Im desc) band sort key."""
+    the real-driver rule, and the (Re desc, Im desc) band sort key.  The
+    phase column is taken from `phases`, one label per cell in row order;
+    `check_phases` judges it."""
     rows = []
+    cells = iter(phases)
     for q2 in q2s:
         for q1 in q1s:
-            h = family.matrix((q1, q2))
-            w = numpy_eigensolve(h)
-            scale = max(np.linalg.norm(h), 1.0)
-            if closest_pair(w)[0] <= NEAR_EP_GAP_TOL * scale:
-                label = "near_ep"
-            elif max(abs(x.imag) for x in w) > REALITY_TOL * scale:
-                label = "broken"
-            else:
-                label = "unbroken"
+            w = numpy_eigensolve(family.matrix((q1, q2)))
+            label = next(cells)
             order = sorted(range(len(w)), key=lambda k: (-w[k].real, -w[k].imag))
             for slot, k in enumerate(order):
                 rows.append([repr(float(q1)), repr(float(q2)), str(1 - slot),
@@ -211,38 +205,31 @@ def reference_spectrum_rows(family, q1s, q2s):
     return rows
 
 
-def reference_label(family, q2):
-    return reference_spectrum_rows(family, [0.0], [q2])[0][5]
-
-
-def label_edge(family, lo, hi):
-    """Adjacent floats (q2 on the side of lo, q2' on the side of hi) on
-    q1 = 0 where the reference label changes, by bisection from lo to hi."""
-    start = reference_label(family, lo)
-    assert reference_label(family, hi) != start
-    while np.nextafter(lo, hi) != hi:
-        mid = (lo + hi) / 2
-        if reference_label(family, mid) == start:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def check_phases(rows, imaginary_detuning=False):
+    """Each cell's phase (rows come three per cell) equals the exact label
+    at its float point, or is near_ep where the exact |disc| is under the
+    oracle's ceiling.  Returns the labels, one per cell."""
+    labels = []
+    for row in rows[::3]:
+        q1, q2, got = float(row[0]), float(row[1]), row[5]
+        want = exact.label(q1, q2, imaginary_detuning)
+        if got != want:
+            assert got == "near_ep" and exact.near_ep_allowed(q1, q2, imaginary_detuning), (
+                q1, q2, got, want)
+        labels.append(got)
+    return labels
 
 
 def edge_values():
-    """q2 values on both sides of the NEAR_EP_GAP_TOL edge by the Dirac EP
-    and of the REALITY_TOL edge by the conventional EP, a few ulps out.
-
-    The conventional edge is approached from the broken side: below q2*
-    the real driver keeps the levels exactly real, so from there the first
-    edge met is the gap's, not the imaginary part's."""
-    family = nv_family()
+    """q2 values on q1 = 0 at and around both EPs: the Dirac EP q2 = 1,
+    where the exact discriminant touches zero, and the adjacent floats
+    where its exact sign changes by the conventional EP, each with a few
+    ulps out."""
     values = []
-    for start, end in ((1.0, 1.0 + 1e-6), (Q2_STAR + 1e-3, Q2_STAR - 1e-3)):
-        a, b = sorted(label_edge(family, start, end))
+    for a, b in ((1.0, 1.0), exact.sign_edge(0.0, Q2_STAR - 1e-3, Q2_STAR + 1e-3)):
         for _ in range(3):
             values += [a, b]
-            a, b = np.nextafter(a, -np.inf), np.nextafter(b, np.inf)
+            a, b = math.nextafter(a, -math.inf), math.nextafter(b, math.inf)
     return values
 
 
@@ -261,7 +248,7 @@ class TestSpectrumScanReference:
     )
     def test_rows_match_pointwise_reference(self, family, q1a, q1b, q2a, q2b, nx, ny):
         # With resolution 2 the box edges are the cells' coordinates, so a
-        # sampled edge value puts a cell exactly on a label threshold.
+        # sampled edge value puts a cell exactly at or next to an EP.
         box = ",".join(repr(float(v)) for v in (q1a, q1b, q2a, q2b))
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "spec.csv"
@@ -270,8 +257,9 @@ class TestSpectrumScanReference:
                 "--out", str(out),
             ])
             got = out.read_bytes()
+            _, rows = read_csv(out)
         want = reference_spectrum_rows(
-            family, np.linspace(q1a, q1b, nx), np.linspace(q2a, q2b, ny)
+            family, np.linspace(q1a, q1b, nx), np.linspace(q2a, q2b, ny), check_phases(rows)
         )
         assert got == csv_bytes(SPECTRUM_HEADER, want)
 
@@ -282,16 +270,21 @@ class TestSpectrumScanReference:
             "spectrum-scan", "--box", "-1,1,0.5,2", "--resolution", "3,7",
             "--format", "json", "--out", str(out),
         ])
-        want = reference_spectrum_rows(family, np.linspace(-1, 1, 3), np.linspace(0.5, 2, 7))
-        assert {row[5] for row in want} == {"unbroken", "broken", "near_ep"}
+        records = json.loads(out.read_text())
+        labels = check_phases([[r["q1"], r["q2"], 0, 0, 0, r["phase"]] for r in records])
+        assert set(labels) == {"unbroken", "broken", "near_ep"}
+        want = reference_spectrum_rows(
+            family, np.linspace(-1, 1, 3), np.linspace(0.5, 2, 7), labels
+        )
         for row in want:
             row[2] = int(row[2])  # JSON keeps the band an integer
         assert out.read_bytes() == json_bytes(SPECTRUM_HEADER, want)
 
-    def test_edges_are_on_both_sides_of_each_threshold(self, family):
-        labels = [reference_label(family, q2) for q2 in EDGE_Q2]
-        assert {"near_ep", "unbroken", "broken"} <= set(labels)
-        assert labels[0] != labels[1] and labels[6] != labels[7]
+    def test_edges_are_on_both_sides_of_each_threshold(self):
+        labels = [exact.label(0.0, q2) for q2 in EDGE_Q2]
+        assert labels[:2] == ["near_ep", "near_ep"]  # q2 = 1.0 exactly
+        assert set(labels[2:6]) == {"unbroken"}
+        assert labels[6:] == ["unbroken", "broken"] * 3
 
     def test_family_real_on_one_line_matches_pointwise_reference(self, tmp_path, monkeypatch):
         # Real on q1 = 0 and complex off it: every cell is solved by the
@@ -303,8 +296,20 @@ class TestSpectrumScanReference:
             "spectrum-scan", "--box", "-0.5,0.5,0.1,1.9", "--resolution", "5,8",
             "--out", str(out),
         ])
-        want = reference_spectrum_rows(family, np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.9, 8))
+        _, rows = read_csv(out)
+        want = reference_spectrum_rows(family, np.linspace(-0.5, 0.5, 5),
+                                       np.linspace(0.1, 1.9, 8), check_phases(rows, True))
         assert out.read_bytes() == csv_bytes(SPECTRUM_HEADER, want)
+
+    def test_manifest_counts_cells_per_phase(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        run_ok(CliRunner(), [
+            "spectrum-scan", "--box", "-1,1,0.5,2", "--resolution", "3,7", "--out", str(out),
+        ])
+        manifest = json.loads((tmp_path / "spec.csv.manifest.json").read_text())
+        _, rows = read_csv(out)
+        assert manifest["phase"] == dict(Counter(r[5] for r in rows[::3]))
+        assert sum(manifest["phase"].values()) == 3 * 7
 
 
 class TestBrokenPairOrder:
@@ -645,8 +650,10 @@ class TestEpLocate:
         assert abs(float(rows[0][1]) - Q2_STAR) <= 1e-6
         assert abs(float(rows[0][2]) - 1.5) <= 1e-6
 
+    # |disc| at a located EP is round-off of det P: up to about
+    # 4 eps ||H||_F^6 against 50-digit references, 1.5e-11 at (0, 1).
     @pytest.mark.parametrize("segment, fmt, gap_bound, disc_bound", [
-        ("0,0.5,0,1.3", "json", 1e-7, 1e-12),
+        ("0,0.5,0,1.3", "json", 1e-7, 1e-11),
         ("0,1.2,0,1.7", "csv", 1e-6, 1e-10),
     ])
     def test_manifest_carries_accuracy_evidence(
@@ -657,6 +664,9 @@ class TestEpLocate:
         manifest = json.loads((tmp_path / f"ep.{fmt}.manifest.json").read_text())
         assert 0.0 <= manifest["residual_gap"] <= gap_bound
         assert 0.0 <= manifest["discriminant"] <= disc_bound
+        # The located point reads near_ep: |disc| is within 10 round-off bounds.
+        assert 0.0 < manifest["discriminant_bound"] <= 1e-10
+        assert manifest["discriminant"] <= 10 * manifest["discriminant_bound"]
 
     def test_no_ep_exits_3(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -702,8 +712,9 @@ class TestTraceLine:
         out = tmp_path / "line.csv"
         run_ok(runner, ["trace-line", "--segment", "0,1.2,0,1.7", "--out", str(out)])
         manifest = json.loads((tmp_path / "line.csv.manifest.json").read_text())
-        for key in ("residual_gap", "discriminant"):
+        for key in ("residual_gap", "discriminant", "discriminant_bound"):
             assert math.isfinite(manifest[key]) and 0.0 <= manifest[key] <= 1e-4
+        assert manifest["discriminant_bound"] > 0.0
 
     @pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
     def test_bad_step_exits_2(self, runner, tmp_path, step):
@@ -1059,6 +1070,12 @@ def test_cli_import_loads_no_scipy():
     assert modules_loaded_by_cli_import("scipy") == "[]"
 
 
+def test_cli_import_loads_no_mpmath():
+    # The tests' 50-digit references use mpmath; nhgeom must not, as its
+    # import would add to every launch.
+    assert modules_loaded_by_cli_import("mpmath") == "[]"
+
+
 def test_cli_import_loads_no_numpy_polynomial():
     # The locator's fixed-degree series code replaced it; the tests alone
     # import it, as an oracle.
@@ -1081,10 +1098,10 @@ README_OUTPUTS = {
     "polar.csv": (["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
                   "6beff305fd2a1e90c82ab8e1c42660e45a1fd0c1e8ac7cc6d8f2283e136946ce"),
     "dirac.json": (["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
-                   "2aa4b389ca1db4eb0882f1684779a8c501e0ddab818652c5211ecc85f1cfbee4"),
+                   "85f786d06860ab001bedffbf149525e00db38015e8c5b438fc11a25423ef99c4"),
     "line.csv": (["trace-line", "--segment", "0,1.2,0,1.7", "--step", "0.05",
                   "--max-points", "40"],
-                 "6075521edc9ffbdf87a725e1dafc60b2ce96f0f7b9315949b0320d95aeccb4b3"),
+                 "c3226af597c8e02e4a02cfee21cd6d305832c764ff628ae5843ca22f70c9dfcc"),
     "chain.json": (["jordan", "--point", "0,1"],
                    "76c9549aec7c1d0f28649a14884aa29fcf9390986f75abbfa78cc3bc73fee9d2"),
 }

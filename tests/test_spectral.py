@@ -33,6 +33,7 @@ from nhgeom.spectral import (
     _discriminant_gradient,
     _real_roots,
     closest_pair,
+    phase_of,
 )
 
 from conftest import (
@@ -58,17 +59,69 @@ class TestClassifyPhase:
     def test_unbroken(self, family):
         label = classify_phase(family, (0.0, 0.5))
         assert label.label is Phase.UNBROKEN
-        assert label.max_imag <= 1e-10
+        assert label.discriminant > TOUCH_NOISE_FACTOR * label.bound > 0
 
     def test_broken(self, family):
         label = classify_phase(family, (0.0, 1.5))
         assert label.label is Phase.BROKEN
-        assert label.max_imag == pytest.approx(0.5, abs=1e-10)
+        assert label.discriminant < -TOUCH_NOISE_FACTOR * label.bound < 0
 
     def test_near_ep(self, family):
         label = classify_phase(family, (0.0, 1.0))
         assert label.label is Phase.NEAR_EP
-        assert label.min_gap <= 1e-12
+        assert abs(label.discriminant) <= TOUCH_NOISE_FACTOR * label.bound
+
+    def test_stack_is_the_one_point_case(self, family, rng):
+        q1, q2 = rng.uniform(-2, 2, 50), rng.uniform(0, 2, 50)
+        stack = phase_of(family.matrices(q1, q2))
+        for k in range(50):
+            one = classify_phase(family, (q1[k], q2[k]))
+            assert (stack.label[k], stack.discriminant[k], stack.bound[k]) == (
+                one.label, one.discriminant, one.bound)
+
+    def test_bound_covers_the_50_digit_error(self, family, rng):
+        # Random points, and both EP ladders on q1 = 0.
+        points = list(zip(rng.uniform(-2, 2, 300), rng.uniform(0, 2, 300)))
+        for center in (1.0, Q2_STAR):
+            points += [(0.0, center + s * 10.0 ** e) for s in (1, -1) for e in range(-16, -2)]
+        for q1, q2 in points:
+            label = classify_phase(family, (q1, q2))
+            with mpmath.workdps(50):
+                want = reference_discriminant(mpmath.mpf(q1), mpmath.mpf(q2))
+            assert abs(label.discriminant - float(want)) <= label.bound
+
+    def test_labels_run_once_through_the_conventional_ep(self, family):
+        # On q1 = 0 across q2* the labels run unbroken -> near_ep -> broken
+        # with no flip back, on a log ladder of offsets and at the floats
+        # next to q2*; near_ep stays within 1e-11 of q2*.
+        q2s = {Q2_STAR + s * 10.0 ** e for s in (1, -1) for e in range(-16, -8)}
+        q2 = lo = hi = Q2_STAR
+        for _ in range(4):
+            q2s |= {lo, hi}
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)
+        labels = [classify_phase(family, (0.0, q2)).label for q2 in sorted(q2s)]
+        rank = {Phase.UNBROKEN: 0, Phase.NEAR_EP: 1, Phase.BROKEN: 2}
+        assert [rank[x] for x in labels] == sorted(rank[x] for x in labels)
+        assert labels[0] is Phase.UNBROKEN and labels[-1] is Phase.BROKEN
+        assert classify_phase(family, (0.0, q2)).label is Phase.NEAR_EP
+        near = [q for q, x in zip(sorted(q2s), labels) if x is Phase.NEAR_EP]
+        assert max(abs(q - Q2_STAR) for q in near) <= 1e-11
+
+    def test_two_complex_pairs_read_broken(self):
+        # Eigenvalues +/- i and +/- 2i: six negative squared differences, so
+        # disc > 0, but P is indefinite (two real eigenvalues fewer).
+        h = np.zeros((4, 4))
+        h[0, 1], h[1, 0], h[2, 3], h[3, 2] = 1, -1, 2, -2
+        label = phase_of(h)
+        assert label.discriminant == pytest.approx(4 * 1 * 9 * 9 * 1 * 16)
+        assert label.label is Phase.BROKEN
+        assert phase_of(np.diag([1.0, 2.0, 3.0, 4.0])).label is Phase.UNBROKEN
+
+    def test_stack_of_any_shape(self, family):
+        h = family.matrices(np.zeros((2, 3)), np.full((2, 3), 0.5))
+        label = phase_of(h)
+        assert label.label.shape == label.discriminant.shape == label.bound.shape == (2, 3)
+        assert all(x is Phase.UNBROKEN for x in label.label.ravel())
 
 
 class TestDiscriminant:
@@ -101,21 +154,10 @@ class TestStackedDiscriminant:
             assert stack[k].tobytes() == np.complex128(discriminant(family, (a, b))).tobytes()
             with mpmath.workdps(50):
                 ref = reference_discriminant(mpmath.mpf(a), mpmath.mpf(b))
-            # Rounding of the traces and of the cubic's terms scales as
-            # ||H||_F^6; 2 eps of it was the worst seen over 1,800 points
-            # with |q| from 1e-3 to 1e8.
+            # Rounding of the power sums and of det P scales as ||H||_F^6;
+            # 3.9 eps of it was the worst seen over 328 points.
             frob2 = 22 + 8 * a * a + 4 * b * b
             assert abs(stack[k] - complex(ref)) <= 64 * np.finfo(float).eps * frob2 ** 3
-
-    def test_dimension_is_checked_before_building(self):
-        def unbuildable(p):
-            raise AssertionError("the family was built")
-
-        dimer = HamiltonianFamily("pt-dimer", 2, unbuildable, unbuildable)
-        with pytest.raises(ValueError):
-            discriminant(dimer, (1.0, 0.5))
-        with pytest.raises(ValueError):
-            find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
 
     def test_locator_builds_its_nodes_in_one_stack(self, family, monkeypatch):
         calls = Counter()
@@ -216,17 +258,54 @@ class TestFindEP:
         ep = find_ep_on_segment(family, a, b)
         assert math.hypot(ep.point.q1 - want[0], ep.point.q2 - want[1]) <= 1e-12
 
-    def test_non_3x3_family_raises(self):
-        dimer = HamiltonianFamily(
-            name="pt-dimer",
-            dimension=2,
-            builder=lambda p: stacked([[1j * p.q2, p.q1], [p.q1, -1j * p.q2]], p),
-            gradient=lambda p: (
-                stacked([[0, 1], [1, 0]], p), stacked([[1j, 0], [0, -1j]], p)
-            ),
-        )
-        with pytest.raises(ValueError):
-            find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
+
+def pt_dimer(shift=0.0):
+    """H = [[i q2, q1], [q1, -i q2]] + shift I: eigenvalues
+    shift +/- sqrt(q1^2 - q2^2), an exceptional line q2 = |q1|."""
+    return HamiltonianFamily(
+        name="pt-dimer",
+        dimension=2,
+        builder=lambda p: stacked([[1j * p.q2 + shift, p.q1], [p.q1, -1j * p.q2 + shift]], p),
+        gradient=lambda p: (stacked([[0, 1], [1, 0]], p), stacked([[1j, 0], [0, -1j]], p)),
+    )
+
+
+class TestPTDimer:
+    """Every EP question for n = 2, from the same Hermite form as for n = 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-2, 2), st.floats(0, 2))
+    def test_discriminant(self, q1, q2):
+        want = 4 * (q1 * q1 - q2 * q2)
+        assert discriminant(pt_dimer(), (q1, q2)) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    def test_locator_lands_on_the_ep(self):
+        ep = find_ep_on_segment(pt_dimer(), (1.0, 0.5), (1.0, 1.5))
+        assert math.hypot(ep.point.q1 - 1.0, ep.point.q2 - 1.0) <= 1e-12
+        assert ep.gap <= 1e-7
+
+    def test_trace_follows_the_diagonal(self):
+        dimer = pt_dimer()
+        seed = find_ep_on_segment(dimer, (1.0, 0.5), (1.0, 1.5))
+        points = trace_exceptional_line(dimer, seed, step=0.05, max_points=10)
+        assert len(points) == 10
+        assert max(abs(ep.point.q2 - ep.point.q1) for ep in points) <= 1e-12
+        # Up the diagonal: a positive step keeps disc > 0 (q1 > q2) on its right.
+        assert points[-1].point.q1 == pytest.approx(1.0 + 9 * 0.05 / math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize("q2, want", [
+        (0.5, Phase.UNBROKEN), (1.0, Phase.NEAR_EP), (1.5, Phase.BROKEN),
+    ])
+    def test_labels(self, q2, want):
+        assert classify_phase(pt_dimer(), (1.0, q2)).label is want
+
+    def test_non_real_power_sums_read_broken(self):
+        # Shifted by i: disc = 3 > 0 as for the unshifted dimer, but
+        # p_1 = tr H = 2i is not real, so some eigenvalue is not real.
+        shifted = pt_dimer(shift=1j)
+        assert discriminant(shifted, (1.0, 0.5)) == pytest.approx(3.0, rel=1e-14)
+        assert classify_phase(pt_dimer(), (1.0, 0.5)).label is Phase.UNBROKEN
+        assert classify_phase(shifted, (1.0, 0.5)).label is Phase.BROKEN
 
 
 def off_dirac(angle, offset):
@@ -404,8 +483,8 @@ class TestTraceLine:
     def test_isolated_dirac_seed_loses_track(self, family, monkeypatch):
         # The Dirac EP is an isolated, singular point of the exceptional set:
         # no direction from it continues to another EP.  The located one is
-        # (0, 1.0000000000000053), where the gradient reads (0, 2.3e-13):
-        # round-off, so no corrector call is spent on it.
+        # (0, 0.9999999999999583), where the gradient reads 1.3e-11 against
+        # a bound of 1.3e-8: round-off, so no corrector call is spent on it.
         dirac = find_ep_on_segment(family, (0.0, 0.5), (0.0, 1.3))
         calls = count_locator_calls(monkeypatch)
         with pytest.raises(LostTrackError,
@@ -599,28 +678,32 @@ class TestFixedDegreeSeries:
     """The locator's series helpers against numpy.polynomial.chebyshev."""
 
     def test_nodes_and_table(self):
-        nodes = cheb.chebpts1(2 * spectral.DISC_DEGREE + 1)
-        table = cheb.chebvander(nodes, 2 * spectral.DISC_DEGREE).T
-        assert same_bits(spectral._NODES, nodes)
-        assert same_bits(spectral._VANDER_T, table)
-        assert spectral._VANDER_T.strides == table.strides
+        # The fit of an n x n family's discriminant, of degree n(n - 1).
+        for deg in (2, 6, 12):
+            nodes = cheb.chebpts1(2 * deg + 1)
+            table = cheb.chebvander(nodes, 2 * deg).T
+            assert same_bits(spectral._fit(deg)[0], nodes)
+            assert same_bits(spectral._fit(deg)[1], table)
+            assert spectral._fit(deg)[1].strides == table.strides
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(series(7), series(6)))
+    @given(st.one_of(series(7), series(6), series(3), series(2)))
     @example([0.0] * 7)
     @example([0.0] * 6)
+    @example([1.5])
     def test_derivatives(self, c):
         assert same_bits(_chebder(c), cheb.chebder(c))
-        assert same_bits(_chebder(_chebder(c)), cheb.chebder(c, 2))
+        assert same_bits(_chebder(_chebder(c)), cheb.chebder(cheb.chebder(c)))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(series(7), series(6), series(5)), abscissae)
+    @given(st.one_of(series(7), series(6), series(5), series(3), series(2), series(1)), abscissae)
     @example([0.0] * 7, np.array([-1.0, 1.0]))
+    @example([2.0], np.array([-0.5, 1.0]))
     def test_clenshaw(self, c, x):
         assert same_bits(_chebval(x, c), cheb.chebval(x, c))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(series(7), series(6)))
+    @given(st.one_of(series(7), series(6), series(3), series(2)))
     @example([0.0] * 7)
     @example([0.0] * 6)
     @example([0.5, 2.0] + [0.0] * 5)
