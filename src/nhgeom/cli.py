@@ -4,6 +4,9 @@ Every subcommand writes a CSV or JSON data file plus a manifest JSON
 recording the resolved configuration, versions, wall time, row count,
 `write_s` and the run's evidence (cells per status or phase label; the
 largest residual gap, |discriminant| and its bound over located EPs).
+Float columns are rendered by `float_cells`, one repr per run of equal
+magnitudes, and a CSV table is written from one join of its fields and
+separators; `write_s` times both.
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
 error, 3 whole-run computation failure (per-cell failures are data).
@@ -104,24 +107,48 @@ def use_config(ctx, param, path):
     ctx.default_map = defaults
 
 
-def write_rows(out, fmt, header, columns):
+def float_cells(values):
+    """The repr of each float of `values`, as a flat object array.
+
+    Equal to ``list(map(repr, values.tolist()))`` once listed, but repr
+    is called once per run of adjacent values of bitwise equal magnitude
+    (a conjugate pair, a run of zeros) and a "-" put before each value
+    whose sign bit is set, NaN excepted: repr gives "nan" for either sign.
+    """
+    values = np.ravel(values)
+    magnitudes = np.abs(values)
+    bits = magnitudes.view(np.uint64)
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(first)
+    texts = np.array(list(map(repr, magnitudes[starts].tolist())), dtype=object)
+    cells = np.repeat(texts, np.diff(starts, append=len(bits)))
+    negative = np.flatnonzero(np.signbit(values) & ~np.isnan(values))
+    cells[negative] = "-" + cells[negative]
+    return cells
+
+
+def write_rows(out, fmt, header, columns, started):
     """Write a data table and return its manifest fields: the row count and
-    `write_s`, the seconds spent formatting and writing it.
+    `write_s`, the seconds spent rendering and writing it, counted from
+    `started`, the ``time.monotonic()`` reading the caller takes before it
+    renders its columns.
 
     `columns` are equal-length sequences, one per `header` name; a None
     field is an empty CSV cell / JSON null.  The CSV bytes are those that
     ``csv.writer(fh, lineterminator="\\n")`` writes for the header and the
-    rows, from one ``str.format`` call over the interleaved fields.
+    rows, from one join of a list in which the fields alternate with their
+    "," and "\\n" separators.
     """
-    started = time.monotonic()
     nrows = len(columns[0])
     if fmt == "csv":
         k = len(header)
-        fields = [None] * (k * (nrows + 1))
-        fields[:k] = _csv_cells(list(header), alone=k == 1)
-        for i, column in zip(range(k, 2 * k), columns, strict=True):
-            fields[i::k] = _csv_cells(column, alone=k == 1)
-        data = (("{}," * (k - 1) + "{}\n") * (nrows + 1)).format(*fields)
+        parts = [","] * (2 * k * (nrows + 1))
+        parts[2 * k - 1::2 * k] = ["\n"] * (nrows + 1)
+        parts[:2 * k:2] = _csv_cells(list(header), alone=k == 1)
+        for i, column in zip(range(2 * k, 4 * k, 2), columns, strict=True):
+            parts[i::2 * k] = _csv_cells(column, alone=k == 1)
+        data = "".join(parts)
     else:
         records = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
         data = json.dumps(records, indent=1) + "\n"
@@ -131,20 +158,22 @@ def write_rows(out, fmt, header, columns):
 
 
 def _csv_cells(column, alone):
-    """The fields of `column` as ``str.format`` must render them to write
-    what csv.writer writes.
+    """The fields of `column` as the strs that, joined with their
+    separators, write what csv.writer writes.
 
     csv.writer writes None as an empty field and any other non-str as its
-    str(), which is what ``format`` gives for an int or a float.  It quotes
-    a field that holds a delimiter, a quote or a line break, and the lone
-    field of a one-column row when it is empty; such fields are passed
-    through csv itself.
+    str(); an int column calls str() once per distinct value (a float
+    column cannot share them by value: 0.0 == -0.0).  It quotes a field
+    that holds a delimiter, a quote or a line break, and the lone field of
+    a one-column row when it is empty; such fields are passed through csv
+    itself.
     """
     try:
         text = "".join(column)
     except TypeError:  # not all strs
-        if set(map(type, column)) <= {int, float}:
-            return column
+        if set(map(type, column)) == {int}:
+            strs = {v: str(v) for v in set(column)}
+            return list(map(strs.__getitem__, column))
         column = ["" if v is None else str(v) for v in column]
         text = "".join(column)
     if not any(c in text for c in ',"\r\n') and not (alone and "" in column):
@@ -203,17 +232,18 @@ def write_sweep(out, fmt, header, sweep, values, constants=()):
     (an empty field) where it is not.  The manifest fields gain `status`,
     the number of cells of each status.
     """
+    started = time.monotonic()
     n, ok = len(sweep), sweep.status == OK
 
     def masked(column):
         spread = np.full(n, None, dtype=object)
-        spread[ok] = list(map(repr, column[ok].tolist()))
+        spread[ok] = float_cells(column[ok])
         return spread.tolist()
 
     status = np.array(STATUSES, dtype=object)[sweep.status].tolist()
     columns = [*sweep.coordinates(repr), *([c] * n for c in constants), [sweep.band] * n,
                *map(masked, values), status]
-    fields = write_rows(out, fmt, header, columns)
+    fields = write_rows(out, fmt, header, columns, started)
     counts = np.bincount(sweep.status, minlength=len(STATUSES)).tolist()
     fields["status"] = {name: k for name, k in zip(STATUSES, counts) if k}
     return fields
@@ -312,24 +342,22 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
     labels, w = phase_of(h).label, eigenvalues(h)
     w = np.take_along_axis(w, band_order(w), axis=-1)
     nb = w.shape[-1]  # rows run over q2, then q1, then band
-
-    def reprs(values):  # as an object array, for np.repeat and np.tile
-        return np.array(list(map(repr, values.tolist())), dtype=object)
-
-    phases = np.empty(labels.shape, dtype=object)
+    started = time.monotonic()
+    phases, counts = np.empty(labels.shape, dtype=object), {}
     for phase in Phase:
-        phases[labels == phase] = phase.value
-    names, counts = np.unique(phases, return_counts=True)  # cells per label
+        cells = labels == phase
+        phases[cells] = phase.value
+        counts[phase.value] = int(np.count_nonzero(cells))
     columns = [
-        np.tile(np.repeat(reprs(q1_axis), nb), ny).tolist(),
-        np.repeat(reprs(q2_axis), nb * nx).tolist(),
+        np.tile(np.repeat(float_cells(q1_axis), nb), ny).tolist(),
+        np.repeat(float_cells(q2_axis), nb * nx).tolist(),
         [nb // 2 - slot for slot in range(nb)] * (nx * ny),
-        list(map(repr, w.real.ravel().tolist())),
-        list(map(repr, w.imag.ravel().tolist())),
+        float_cells(w.real).tolist(),
+        float_cells(w.imag).tolist(),
         np.repeat(phases, nb).tolist(),
     ]
-    return {"phase": dict(zip(names.tolist(), counts.tolist()))} | write_rows(
-        out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], columns
+    return {"phase": {name: k for name, k in counts.items() if k}} | write_rows(
+        out, fmt, ["q1", "q2", "band", "re_energy", "im_energy", "phase"], columns, started
     )
 
 
@@ -436,9 +464,11 @@ def cmd_ep_locate(family, out, fmt, segment):
             "kind": kind.value,
             "defect_measure": ep.defect_measure,
         })
+    started = time.monotonic()
     columns = ep_columns([ep])
     columns.insert(4, [kind.value])
-    return evidence | write_rows(out, "csv", [*EP_HEADER[:4], "kind", *EP_HEADER[4:]], columns)
+    return evidence | write_rows(out, "csv", [*EP_HEADER[:4], "kind", *EP_HEADER[4:]],
+                                 columns, started)
 
 
 @command(
@@ -460,7 +490,8 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     evidence = {"residual_gap": max(ep.gap for ep in points),
                 "discriminant": float(np.abs(label.discriminant).max()),
                 "discriminant_bound": float(label.bound.max())}
-    return evidence | write_rows(out, fmt, EP_HEADER, ep_columns(points))
+    started = time.monotonic()
+    return evidence | write_rows(out, fmt, EP_HEADER, ep_columns(points), started)
 
 
 @command(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -28,7 +29,7 @@ from nhgeom import (
     susceptibility,
 )
 from nhgeom import cli
-from nhgeom.cli import main, write_rows
+from nhgeom.cli import float_cells, main, write_rows
 from nhgeom.geometry import band_index
 
 import exact
@@ -107,7 +108,7 @@ class TestWriteRows:
         with tempfile.TemporaryDirectory() as tmp:
             for fmt, want in (("csv", csv_bytes), ("json", json_bytes)):
                 out = Path(tmp) / f"table.{fmt}"
-                fields = write_rows(str(out), fmt, header, columns)
+                fields = write_rows(str(out), fmt, header, columns, time.monotonic())
                 assert out.read_bytes() == want(header, rows)
                 assert fields["rows"] == len(rows)
                 assert fields["write_s"] >= 0.0
@@ -115,7 +116,34 @@ class TestWriteRows:
     def test_unequal_columns_raise(self, tmp_path):
         for fmt in ("csv", "json"):
             with pytest.raises(ValueError):
-                write_rows(str(tmp_path / "t"), fmt, ["a", "b"], [[1, 2], [3]])
+                write_rows(str(tmp_path / "t"), fmt, ["a", "b"], [[1, 2], [3]], 0.0)
+
+
+SIGNED_NAN = math.copysign(math.nan, -1.0)
+MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan, 5e-324, 1.5e-310, 0.1, 1.0]),  # two subnormals
+    st.floats(),
+)
+
+
+@st.composite
+def float_runs(draw):
+    """0 to 50 floats in runs of one magnitude, each member of either sign."""
+    values = []
+    for magnitude, length in draw(st.lists(st.tuples(MAGNITUDE, st.integers(1, 4)),
+                                           max_size=50)):
+        values += [math.copysign(magnitude, draw(st.sampled_from([1.0, -1.0])))
+                   for _ in range(length)]
+    return np.array(values[:50], dtype=float)
+
+
+class TestFloatCells:
+    @settings(max_examples=300, deadline=None)
+    @given(float_runs())
+    @example(np.array([SIGNED_NAN, math.nan, SIGNED_NAN]))  # repr gives "nan" for both signs
+    @example(np.array([-0.0, 0.0, -0.0, -math.inf, math.inf, -5e-324, 5e-324]))
+    def test_equals_repr_of_each_value(self, values):
+        assert float_cells(values).tolist() == list(map(repr, values.tolist()))
 
 
 class TestSpectrumScan:
@@ -262,6 +290,22 @@ class TestSpectrumScanReference:
             family, np.linspace(q1a, q1b, nx), np.linspace(q2a, q2b, ny), check_phases(rows)
         )
         assert got == csv_bytes(SPECTRUM_HEADER, want)
+
+    def test_large_grid_matches_pointwise_reference(self, family, tmp_path):
+        # Both phases and the Dirac EP (0, 1): long runs of 0.0 in
+        # im_energy, exact conjugate pairs and negative energies.
+        out = tmp_path / "spec.csv"
+        run_ok(CliRunner(), [
+            "spectrum-scan", "--box", "-1.5,1.5,0.5,2", "--resolution", "31,31",
+            "--out", str(out),
+        ])
+        _, rows = read_csv(out)
+        labels = check_phases(rows)
+        assert {"unbroken", "broken"} <= set(labels)
+        want = reference_spectrum_rows(
+            family, np.linspace(-1.5, 1.5, 31), np.linspace(0.5, 2, 31), labels
+        )
+        assert out.read_bytes() == csv_bytes(SPECTRUM_HEADER, want)
 
     def test_json_matches_pointwise_reference(self, family, tmp_path):
         # The box puts one cell on each phase, (0, 1) on the Dirac EP.
