@@ -28,8 +28,6 @@ from .model import (
     ParameterPoint,
     get_family,
     nv_family,
-    nv_gradient,
-    nv_hamiltonian,
 )
 from .spectral import (
     EPKind,

@@ -204,9 +204,9 @@ def classify_ep(family, ep):
     derivatives to vanish, to DIRAC_CHAIN_AMP_TOL relative to
     ||phi0|| ||psi0|| ||dH_i|| (so the pair splits linearly in every
     direction), AND a PT-unbroken neighborhood: every one of RING_SAMPLES
-    points on the ring of radius NEIGHBOR_RADIUS.  Anything else is
-    conventional.  Raises NotDefectiveError or NoDoubleEigenvalueError as
-    `jordan_chain` does.
+    points on the ring of radius NEIGHBOR_RADIUS reads unbroken.  Anything
+    else is conventional.  Raises NotDefectiveError or
+    NoDoubleEigenvalueError as `jordan_chain` does.
     """
     return _classify(family, ep.point, jordan_chain(family.matrix(ep.point), ep.coalesced_energy))
 

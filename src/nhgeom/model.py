@@ -6,9 +6,10 @@ The NV model is a spin-1 qutrit with a non-reciprocal coupling:
 
 in the standard Sz eigenbasis ordered (+1, 0, -1).  q1 plays the role of
 an effective momentum (detuning) and q2 the degree of non-reciprocity;
-the model is Hermitian exactly on the q2 = 0 line.  Downstream modules
-only ever see the generic `HamiltonianFamily` interface, so other
-two-parameter models can reuse the whole toolchain.
+the model is Hermitian exactly on the q2 = 0 line.  H is affine in
+(q1, q2), so the family is its three matrices (`HamiltonianFamily.affine`).
+Downstream modules only ever see the generic `HamiltonianFamily`
+interface, so other two-parameter models can reuse the whole toolchain.
 """
 
 import math
@@ -63,13 +64,38 @@ class HamiltonianFamily:
     `builder(p)` returns H(p); `gradient(p)` returns the pair
     (dH/dq1, dH/dq2) evaluated at p.  Both broadcast: `p` holds two floats
     or two equal-shape float arrays, and the matrices come back with that
-    shape in front, as (..., n, n).  `p` arrives checked finite.
+    shape in front, as (..., n, n).  `p` arrives checked finite.  An affine
+    family is made from its three matrices with `affine`.
     """
 
     name: str
     dimension: int
     builder: Callable[[ParameterPoint], np.ndarray]
     gradient: Callable[[ParameterPoint], tuple]
+
+    @classmethod
+    def affine(cls, name, h0, a1, a2):
+        """The family H0 + q1 A1 + q2 A2 of three constant n x n matrices.
+
+        H is summed in that order in the matrices' common dtype (at least
+        float) and then made complex, so an entry that all three terms leave
+        zero is +0.0 at every point.  The gradient is the constant pair
+        (A1, A2), as read-only views of one complex matrix each.
+        """
+        h0, a1, a2 = np.array([h0, a1, a2]) + 0.0  # at least float, and no -0.0
+        d1, d2 = a1.astype(complex), a2.astype(complex)
+
+        def builder(p):  # in place, which halves a large stack's temporaries
+            h = np.multiply.outer(p[0], a1)
+            np.add(h0, h, out=h)
+            h += np.multiply.outer(p[1], a2)
+            return h.astype(complex, copy=False)
+
+        def gradient(p):
+            shape = np.shape(p[0]) + d1.shape
+            return np.broadcast_to(d1, shape), np.broadcast_to(d2, shape)
+
+        return cls(name, len(h0), builder, gradient)
 
     def matrix(self, p):
         return self.builder(as_point(p))
@@ -79,47 +105,20 @@ class HamiltonianFamily:
         return self.builder(as_points((q1, q2)))
 
 
-def _nv_matrix(p):
-    # Filling a zeroed C-order array gives one matrix and each matrix of a
-    # stack the same bytes, with +0.0 in the structural zeros.
-    q1, q2 = p
-    h = np.zeros(np.shape(q1) + (3, 3), dtype=complex)
-    h[..., 0, 0], h[..., 2, 2] = 3 + 2 * q1, 3 - 2 * q1
-    h[..., 0, 1] = h[..., 1, 2] = 1 - q2
-    h[..., 1, 0] = h[..., 2, 1] = 1 + q2
-    return h
+# H0 = 3 Sz^2 + sqrt(2) Sx, dH/dq1 = 2 Sz, dH/dq2 = -i sqrt(2) Sy: integers.
+_NV_TERMS = (np.array([[3, 1, 0], [1, 0, 1], [0, 1, 3]]), np.diag([2, 0, -2]),
+             np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
 
-
-def nv_hamiltonian(p):
-    """H(q1, q2) of the NV model, at one point or a stack; closed form of the
-    spin-operator expression."""
-    return _nv_matrix(as_points(p))
-
-
-# dH/dq1 = 2 Sz, dH/dq2 = -i sqrt(2) Sy; both constant in (q1, q2).
-_NV_DQ1 = np.diag([2.0, 0.0, -2.0]).astype(complex)
-_NV_DQ2 = np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex)
-
-
-def _nv_gradient(p):
-    shape = getattr(p[0], "shape", ()) + _NV_DQ1.shape
-    return np.full(shape, _NV_DQ1), np.full(shape, _NV_DQ2)
-
-
-def nv_gradient(p):
-    return _nv_gradient(as_points(p))
+_FAMILIES = {"nv-dirac": HamiltonianFamily.affine("nv-dirac", *_NV_TERMS)}
 
 
 def nv_family():
-    return HamiltonianFamily("nv-dirac", 3, builder=_nv_matrix, gradient=_nv_gradient)
-
-
-_FAMILIES = {"nv-dirac": nv_family}
+    return _FAMILIES["nv-dirac"]
 
 
 def get_family(name):
     try:
-        return _FAMILIES[name]()
+        return _FAMILIES[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; available: {sorted(_FAMILIES)}"

@@ -6,6 +6,8 @@ import pytest
 
 from nhgeom import HamiltonianFamily, nv_family
 
+import exact
+
 
 @pytest.fixture(scope="session")
 def family():
@@ -55,7 +57,8 @@ def nv_axis_chi_band0(q2):
 
 
 def stacked(rows, p):
-    """The complex matrix of `rows` at p, broadcast as family builders must be.
+    """The complex matrix of `rows` at p, broadcast as family builders must be,
+    for a family that is not affine (an affine one is `HamiltonianFamily.affine`).
 
     Each entry is a number or an array of the shape of p.q1; the matrix
     comes back with that shape in front, as (..., n, n).
@@ -83,13 +86,19 @@ def imaginary_detuning_family():
     Its matrices are complex off q1 = 0 and exactly real on it, so a sweep
     across q1 = 0 mixes the two LAPACK drivers in one stack.
     """
-    return HamiltonianFamily(
-        "imaginary-detuning", 3,
-        builder=lambda p: stacked([
-            [3 + 2j * p.q1, 1 - p.q2, 0], [1 + p.q2, 0, 1 - p.q2], [0, 1 + p.q2, 3 - 2j * p.q1],
-        ], p),
-        gradient=lambda p: (stacked([[2j, 0, 0], [0, 0, 0], [0, 0, -2j]], p),
-                            stacked([[0, -1, 0], [1, 0, -1], [0, 1, 0]], p)),
+    return HamiltonianFamily.affine(
+        "imaginary-detuning",
+        [[3, 1, 0], [1, 0, 1], [0, 1, 3]],
+        np.diag([2j, 0, -2j]),
+        [[0, -1, 0], [1, 0, -1], [0, 1, 0]],
+    )
+
+
+def pt_dimer(shift=0.0):
+    """H = [[i q2, q1], [q1, -i q2]] + shift I: eigenvalues
+    shift +/- sqrt(q1^2 - q2^2), an exceptional line q2 = |q1|."""
+    return HamiltonianFamily.affine(
+        "pt-dimer", np.diag([shift, shift]), [[0, 1], [1, 0]], np.diag([1j, -1j])
     )
 
 
@@ -103,13 +112,10 @@ def sorted_complex(w):
     return w[np.lexsort((np.round(w.imag, 10), np.round(w.real, 10)))]
 
 
-# 50-digit references built from the closed-form characteristic polynomial
-# x^3 + b x^2 + c x + d of the NV family, without nhgeom.
+# 50-digit references from the NV cubic of `exact.coefficients`, without
+# nhgeom.
 def reference_discriminant(q1, q2):
-    b = -6
-    c = 7 - 4 * q1 ** 2 + 2 * q2 ** 2
-    d = 6 * (1 - q2 ** 2)
-    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+    return exact.cubic_discriminant(*exact.coefficients(q1, q2))
 
 
 def reference_line_q2(q1):
@@ -138,8 +144,7 @@ def reference_double_root(q1, q2):
     9 d - b c = 2 r (r - s)^2 and b^2 - 3 c = (r - s)^2.
     """
     with mpmath.workdps(50):
-        q1, q2 = mpmath.mpf(q1), mpmath.mpf(q2)
-        b, c, d = -6, 7 - 4 * q1 ** 2 + 2 * q2 ** 2, 6 * (1 - q2 ** 2)
+        b, c, d = exact.coefficients(mpmath.mpf(q1), mpmath.mpf(q2))
         return (9 * d - b * c) / (2 * (b * b - 3 * c))
 
 

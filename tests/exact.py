@@ -1,4 +1,4 @@
-"""Exact phase oracle for the NV family and its imaginary-detuning variant.
+"""Exact oracles for the NV family and its imaginary-detuning variant.
 
 Nothing here imports nhgeom.  Every float is a rational, and the
 characteristic polynomial x^3 + b x^2 + c x + d of the NV family has
@@ -11,6 +11,9 @@ integer coefficients in (q1, q2):
 of the cubic's discriminant, computed with `fractions` at the very float
 point a cell uses, gives its exact PT phase: positive, three distinct real
 levels (unbroken); negative, a complex pair (broken); zero, a degeneracy.
+
+`characteristic_polynomial` (Faddeev-LeVerrier over `Fraction`) checks the
+cubic above against the matrices a test writes itself.
 """
 
 import math
@@ -26,16 +29,40 @@ NEAR_EP_CEILING = 1024
 
 
 def coefficients(q1, q2, imaginary_detuning=False):
-    """(b, c, d) of the monic characteristic cubic at the float point (q1, q2)."""
-    q1, q2 = Fraction(q1), Fraction(q2)
+    """(b, c, d) of the monic characteristic cubic at (q1, q2), in the
+    coordinates' number type: `Fraction` for the exact phase, `mpf` for
+    50-digit references."""
     q1sq = -q1 * q1 if imaginary_detuning else q1 * q1
-    return Fraction(-6), 7 - 4 * q1sq + 2 * q2 * q2, 6 * (1 - q2 * q2)
+    return -6, 7 - 4 * q1sq + 2 * q2 * q2, 6 * (1 - q2 * q2)
+
+
+def cubic_discriminant(b, c, d):
+    """prod_(i<j) (E_i - E_j)^2 of the roots of x^3 + b x^2 + c x + d."""
+    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
 
 
 def discriminant(q1, q2, imaginary_detuning=False):
-    """The exact discriminant prod_(i<j) (E_i - E_j)^2 at (q1, q2)."""
-    b, c, d = coefficients(q1, q2, imaginary_detuning)
-    return 18 * b * c * d - 4 * b ** 3 * d + (b * c) ** 2 - 4 * c ** 3 - 27 * d ** 2
+    """The exact discriminant at the float (or rational) point (q1, q2)."""
+    return cubic_discriminant(*coefficients(Fraction(q1), Fraction(q2), imaginary_detuning))
+
+
+def affine(h0, a1, a2, q1, q2):
+    """h0 + q1 a1 + q2 a2, entry by entry, of three matrices as nested lists."""
+    return [[x + q1 * y + q2 * z for x, y, z in zip(*rows)] for rows in zip(h0, a1, a2)]
+
+
+def characteristic_polynomial(a):
+    """(c_(n-1), ..., c_0) of det(x - A) = x^n + c_(n-1) x^(n-1) + ... + c_0
+    for a square matrix of rationals (nested lists), by Faddeev-LeVerrier:
+    M_1 = I, c_(n-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(n-k) I."""
+    n = len(a)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = []
+    for k in range(1, n + 1):
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        coeffs.append(Fraction(-sum(am[i][i] for i in range(n)), k))
+        m = [[am[i][j] + coeffs[-1] * (i == j) for j in range(n)] for i in range(n)]
+    return tuple(coeffs)
 
 
 def label(q1, q2, imaginary_detuning=False):

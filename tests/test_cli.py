@@ -33,7 +33,7 @@ from nhgeom.cli import float_cells, main, write_rows
 from nhgeom.geometry import band_index
 
 import exact
-from conftest import imaginary_detuning_family, numpy_eigensolve, stacked
+from conftest import imaginary_detuning_family, numpy_eigensolve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -188,14 +188,11 @@ class TestSpectrumScan:
     def test_band_labels_follow_band_index(self, runner, tmp_path, monkeypatch):
         # Four real levels 4 + q1 > 1 > -1 + q2 > -3 on the box below; the
         # row labelled b holds the slot band_index(b, 4) picks.
-        four = HamiltonianFamily(
-            name="four-level",
-            dimension=4,
-            builder=lambda p: stacked([
-                [4 + p.q1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1 + p.q2, 0], [0, 0, 0, -3],
-            ], p),
-            gradient=lambda p: (stacked([[1, 0, 0, 0]] + [[0] * 4] * 3, p),
-                                stacked([[0] * 4] * 2 + [[0, 0, 1, 0], [0] * 4], p)),
+        four = HamiltonianFamily.affine(
+            "four-level",
+            [[4, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],
+            np.diag([1, 0, 0, 0]),
+            np.diag([0, 0, 1, 0]),
         )
         monkeypatch.setattr(cli, "get_family", lambda name: four)
         out = tmp_path / "spec.csv"

@@ -18,7 +18,6 @@ from nhgeom import (
     classify_ep,
     find_ep_on_segment,
     jordan_chain,
-    nv_gradient,
     sqrt_coefficient,
 )
 from nhgeom import cli, jordan
@@ -146,8 +145,8 @@ class TestJordanChain:
 
 
 class TestACoefficient:
-    def test_vanishes_at_dirac_ep(self, dirac_chain):
-        dq1, dq2 = nv_gradient((0.0, 1.0))
+    def test_vanishes_at_dirac_ep(self, family, dirac_chain):
+        dq1, dq2 = family.gradient((0.0, 1.0))
         assert abs(a_coefficient(dirac_chain, dq1)) <= 1e-10
         assert abs(a_coefficient(dirac_chain, dq2)) <= 1e-10
 
@@ -155,7 +154,7 @@ class TestACoefficient:
         chain = jordan_chain(
             family.matrix(conventional_ep.point), conventional_ep.coalesced_energy
         )
-        _, dq2 = nv_gradient(conventional_ep.point)
+        _, dq2 = family.gradient(conventional_ep.point)
         a_val = a_coefficient(chain, dq2)
         assert abs(a_val) > 1e-3
         # Puiseux oracle: splitting(r) ~ |2 sqrt(A r)| along q2
@@ -267,11 +266,13 @@ class TestClassifyEP:
         assert classify_ep(family, conventional_ep) is EPKind.CONVENTIONAL
 
     def test_pseudo_ep_not_defective(self, family):
+        # A diagonalizable double level; the gradient is NV's on purpose and
+        # does not match the builder.
         pseudo = HamiltonianFamily(
             name="pseudo",
             dimension=3,
             builder=lambda p: stacked([[3, 0, 0], [0, 3, 0], [0, 0, 0]], p),
-            gradient=lambda p: nv_gradient(p),
+            gradient=family.gradient,
         )
         ep = EPLocation(
             point=ParameterPoint(0.0, 1.0),
@@ -303,7 +304,7 @@ class TestChainAmplitudeClassifier:
             )
             ep = find_ep_on_segment(family, *segment)
             dirac_amps += chain_amplitudes(
-                family.matrix(ep.point), ep.coalesced_energy, nv_gradient(ep.point)
+                family.matrix(ep.point), ep.coalesced_energy, family.gradient(ep.point)
             )
             assert classify_ep(family, ep) is EPKind.DIRAC
         crossing_amps = []
@@ -312,7 +313,7 @@ class TestChainAmplitudeClassifier:
             point = ParameterPoint(float(q1), float(q2))
             energy = complex(reference_double_root(q1, q2))
             crossing_amps.append(max(
-                chain_amplitudes(family.matrix(point), energy, nv_gradient(point))
+                chain_amplitudes(family.matrix(point), energy, family.gradient(point))
             ))
             ep = EPLocation(point=point, coalesced_energy=energy, gap=0.0, defect_measure=0.0)
             assert classify_ep(family, ep) is EPKind.CONVENTIONAL

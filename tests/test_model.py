@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nhgeom import NonFiniteError, get_family, matrix_scale, nv_gradient, nv_hamiltonian
+from nhgeom import NonFiniteError, ParameterPoint, get_family, matrix_scale, nv_family
 from nhgeom.model import circle_points
+
+import exact
+from conftest import imaginary_detuning_family, pt_dimer
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,40 @@ def build_spin1():
     return SpinOperators(sx=sx, sy=sy, sz=sz)
 
 
-def nv_hamiltonian_from_operators(p):
-    """H(q1, q2) assembled directly from the spin-1 operators.
+def nv_hamiltonian_from_operators(p, detuning=2):
+    """H(q1, q2) assembled directly from the spin-1 operators; `detuning`
+    2i gives `imaginary_detuning_family`.
 
     An independent construction to cross-check the closed form.
     """
     q1, q2 = p
     s = build_spin1()
-    return 3 * (s.sz @ s.sz) + 2 * q1 * s.sz + math.sqrt(2.0) * (s.sx - 1j * q2 * s.sy)
+    return 3 * (s.sz @ s.sz) + detuning * q1 * s.sz + math.sqrt(2.0) * (s.sx - 1j * q2 * s.sy)
+
+
+# Integer spin-1 matrices in the (+1, 0, -1) basis: Sz, sqrt(2) Sx and
+# -i sqrt(2) Sy, and NV's H(0, 0), dH/dq1 and dH/dq2 from them.
+SZ = np.diag([1, 0, -1])
+SQRT2_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+MINUS_I_SQRT2_SY = np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]])
+NV_TERMS = (3 * SZ @ SZ + SQRT2_SX, 2 * SZ, MINUS_I_SQRT2_SY)
+
+AFFINE_FAMILIES = [
+    pytest.param(f, id=f.name) for f in (nv_family(), imaginary_detuning_family(), pt_dimer())
+]
+
+# An independent construction of each affine family's matrix: the dimer is
+# q1 sigma_x + i q2 sigma_z.
+OPERATOR_FORMS = {
+    "nv-dirac": nv_hamiltonian_from_operators,
+    "imaginary-detuning": lambda p: nv_hamiltonian_from_operators(p, detuning=2j),
+    "pt-dimer": lambda p: p[0] * np.array([[0, 1], [1, 0]]) + 1j * p[1] * np.diag([1, -1]),
+}
+
+
+def terms(family):
+    """H(0, 0), dH/dq1 and dH/dq2 of an affine family, read back from it."""
+    return (family.matrix((0.0, 0.0)),) + family.gradient(ParameterPoint(0.0, 0.0))
 
 
 class TestSpinOperators:
@@ -64,37 +94,37 @@ class TestSpinOperators:
 
 
 class TestHamiltonian:
-    def test_hermitian_limit(self):
-        h = nv_hamiltonian((0.0, 0.0))
+    def test_hermitian_limit(self, family):
+        h = family.matrix((0.0, 0.0))
         assert np.allclose(h, [[3, 1, 0], [1, 0, 1], [0, 1, 3]], atol=1e-15)
         assert np.allclose(h, h.conj().T, atol=1e-15)
 
-    def test_triangular_point(self):
-        h = nv_hamiltonian((0.0, 1.0))
+    def test_triangular_point(self, family):
+        h = family.matrix((0.0, 1.0))
         assert np.allclose(h, [[3, 0, 0], [2, 0, 0], [0, 2, 3]], atol=1e-15)
 
-    def test_hermitian_iff_q2_zero(self):
-        h = nv_hamiltonian((0.7, 0.0))
+    def test_hermitian_iff_q2_zero(self, family):
+        h = family.matrix((0.7, 0.0))
         assert np.linalg.norm(h - h.conj().T) == 0.0
-        h = nv_hamiltonian((0.7, 1e-6))
+        h = family.matrix((0.7, 1e-6))
         assert np.linalg.norm(h - h.conj().T) > 0.0
 
-    def test_closed_form_matches_operator_expression(self, rng):
+    def test_closed_form_matches_operator_expression(self, family, rng):
         for _ in range(100):
             p = tuple(rng.uniform(-3.0, 3.0, size=2))
             assert np.allclose(
-                nv_hamiltonian(p), nv_hamiltonian_from_operators(p), atol=1e-14
+                family.matrix(p), nv_hamiltonian_from_operators(p), atol=1e-14
             )
 
-    def test_affine_in_parameters(self, rng):
+    def test_affine_in_parameters(self, family, rng):
         p = rng.uniform(-2.0, 2.0, size=2)
         q = rng.uniform(-2.0, 2.0, size=2)
-        lhs = nv_hamiltonian(p) + nv_hamiltonian(q) - nv_hamiltonian((0.0, 0.0))
-        assert np.allclose(lhs, nv_hamiltonian(p + q), atol=1e-14)
+        lhs = family.matrix(p) + family.matrix(q) - family.matrix((0.0, 0.0))
+        assert np.allclose(lhs, family.matrix(p + q), atol=1e-14)
 
-    def test_nonfinite_rejected(self):
+    def test_nonfinite_rejected(self, family):
         with pytest.raises(NonFiniteError):
-            nv_hamiltonian((np.nan, 0.0))
+            family.matrix((np.nan, 0.0))
 
 
 # Coordinates with signed zeros, subnormals and magnitudes up to 1e8.
@@ -111,33 +141,56 @@ def coordinate_stacks(data):
 
 
 class TestStackedBuilder:
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_stack_is_pointwise_and_matches_operators(self, family, data):
         q1, q2 = coordinate_stacks(data)
         stack = family.matrices(q1, q2)
-        assert stack.shape == q1.shape + (3, 3)
-        assert nv_hamiltonian((q1, q2)).tobytes() == stack.tobytes()
+        n = family.dimension
+        assert stack.shape == q1.shape + (n, n)
         # Sums over each matrix of the stack add in the one-matrix order.
         scales = matrix_scale(stack)
         for k in np.ndindex(q1.shape):
             one = family.matrix((q1[k], q2[k]))
             assert stack[k].tobytes() == one.tobytes()
             assert scales[k] == matrix_scale(one)
-            ref = nv_hamiltonian_from_operators((float(q1[k]), float(q2[k])))
+            ref = OPERATOR_FORMS[family.name]((float(q1[k]), float(q2[k])))
             scale = max(1.0, abs(q1[k]), abs(q2[k]))
             assert np.max(np.abs(one - ref)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
     def test_zero_entries_are_positive_zeros(self, family):
-        # 0.0 * q1 is -0.0 for negative q1; the structural zeros must not be.
+        # 0.0 * q1 is -0.0 for negative q1; the structural zeros, the real
+        # or imaginary parts where all three terms vanish, must not be.
+        zeros = ~np.stack([np.stack([t.real, t.imag]) for t in terms(family)]).any(axis=0)
         q1 = np.array([-1.5, -0.0, -5e-324, 2.0])
         q2 = np.array([-0.0, 1.0, -3.0, -1e8])
-        zeros = ([0, 1, 2], [2, 1, 0])
         for h in [family.matrices(q1, q2)] + [
             family.matrix(p)[None] for p in zip(q1.tolist(), q2.tolist())
         ]:
-            parts = np.stack([h.real, h.imag])[..., zeros[0], zeros[1]]
-            assert not np.any(parts) and not np.any(np.signbit(parts))
+            parts = np.stack([h.real, h.imag], axis=1)[:, zeros]
+            assert zeros.any() and not np.any(parts) and not np.any(np.signbit(parts))
+
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    def test_matrix_is_the_exact_sum_of_its_terms(self, family, rng):
+        # At dyadic points every product and sum is exact in floats.
+        def fractions(m):
+            return [[Fraction(x) for x in row] for row in m.tolist()]
+
+        parts = [(part, [fractions(part(t)) for t in terms(family)]) for part in (np.real, np.imag)]
+        points = rng.integers(-2 ** 20, 2 ** 20, (50, 2)) / 2.0 ** rng.integers(0, 30, (50, 2))
+        for q1, q2 in points.tolist():
+            h = family.matrix((q1, q2))
+            for part, exact_terms in parts:
+                assert fractions(part(h)) == exact.affine(*exact_terms, Fraction(q1), Fraction(q2))
+
+    @pytest.mark.parametrize("family", AFFINE_FAMILIES)
+    def test_gradient_is_read_only(self, family):
+        for p in (ParameterPoint(0.3, -0.7), ParameterPoint(np.zeros((2, 3)), np.ones((2, 3)))):
+            for d in family.gradient(p):
+                with pytest.raises(ValueError, match="read-only"):
+                    d[..., 0, 0] = 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from([0, 1]))
@@ -145,8 +198,6 @@ class TestStackedBuilder:
         q = list(coordinate_stacks(data))
         k = data.draw(st.sampled_from(list(np.ndindex(q[0].shape))))
         q[which][k] = bad
-        with pytest.raises(NonFiniteError):
-            nv_hamiltonian(tuple(q))
         with pytest.raises(NonFiniteError):
             family.matrices(*q)
         with pytest.raises(NonFiniteError):
@@ -158,30 +209,54 @@ class TestStackedBuilder:
 
     def test_gradient_broadcasts(self, family):
         q1, q2 = np.zeros((2, 3)), np.ones((2, 3))
-        d1, d2 = nv_gradient((q1, q2))
-        one = nv_gradient((0.0, 1.0))
+        d1, d2 = family.gradient(ParameterPoint(q1, q2))
+        one = family.gradient(ParameterPoint(0.0, 1.0))
         assert d1.shape == d2.shape == (2, 3, 3, 3)
         assert np.array_equal(d1, np.broadcast_to(one[0], d1.shape))
         assert np.array_equal(d2, np.broadcast_to(one[1], d2.shape))
 
 
 class TestGradient:
-    def test_dq1(self):
-        dq1, _ = nv_gradient((0.3, 0.7))
+    def test_dq1(self, family):
+        dq1, _ = family.gradient(ParameterPoint(0.3, 0.7))
         assert np.allclose(dq1, np.diag([2.0, 0.0, -2.0]), atol=1e-15)
 
-    def test_dq2(self):
-        _, dq2 = nv_gradient((0.3, 0.7))
+    def test_dq2(self, family):
+        _, dq2 = family.gradient(ParameterPoint(0.3, 0.7))
         assert np.allclose(dq2, [[0, -1, 0], [1, 0, -1], [0, 1, 0]], atol=1e-15)
 
     def test_finite_difference(self, family):
         # H is affine in (q1, q2): central differences are exact to round-off
         eps = 1e-4
         p = np.array([0.3, 0.7])
-        dq1, dq2 = nv_gradient(p)
+        dq1, dq2 = family.gradient(ParameterPoint(*p))
         for d, e in ((dq1, np.array([1.0, 0.0])), (dq2, np.array([0.0, 1.0]))):
             fd = (family.matrix(p + eps * e) - family.matrix(p - eps * e)) / (2 * eps)
             assert np.max(np.abs(fd - d)) <= 1e-7
+
+
+class TestExactTerms:
+    """NV's three matrices against the integer spin-1 matrices above."""
+
+    def test_integer_spin_matrices(self):
+        s = build_spin1()
+        assert np.array_equal(SZ, s.sz)
+        assert np.allclose(SQRT2_SX, math.sqrt(2.0) * s.sx, atol=1e-15)
+        assert np.allclose(MINUS_I_SQRT2_SY, -1j * math.sqrt(2.0) * s.sy, atol=1e-15)
+
+    def test_family_terms_are_exact(self, family):
+        for got, want in zip(terms(family), NV_TERMS):
+            assert got.dtype == complex and np.array_equal(got, want)
+
+    def test_faddeev_leverrier_gives_the_cubic(self, rng):
+        # At rational points, the characteristic polynomial of the spin
+        # matrices' sum is the hand-typed (b, c, d) of `exact.coefficients`.
+        h0, a1, a2 = (t.tolist() for t in NV_TERMS)
+        nums, dens = rng.integers(-60, 60, (40, 2)).tolist(), rng.integers(1, 40, (40, 2)).tolist()
+        for (n1, n2), (d1, d2) in zip(nums, dens):
+            q1, q2 = Fraction(n1, d1), Fraction(n2, d2)
+            h = exact.affine(h0, a1, a2, q1, q2)
+            assert exact.characteristic_polynomial(h) == exact.coefficients(q1, q2)
 
 
 class TestCirclePoints:

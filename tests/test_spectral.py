@@ -40,11 +40,11 @@ from conftest import (
     imaginary_detuning_family,
     numpy_eigensolve,
     nv_axis_energies,
+    pt_dimer,
     reference_discriminant,
     reference_line_q2,
     segment_through,
     sorted_complex,
-    stacked,
 )
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
@@ -257,17 +257,6 @@ class TestFindEP:
     def test_segment_ending_on_an_ep(self, family, a, b, want):
         ep = find_ep_on_segment(family, a, b)
         assert math.hypot(ep.point.q1 - want[0], ep.point.q2 - want[1]) <= 1e-12
-
-
-def pt_dimer(shift=0.0):
-    """H = [[i q2, q1], [q1, -i q2]] + shift I: eigenvalues
-    shift +/- sqrt(q1^2 - q2^2), an exceptional line q2 = |q1|."""
-    return HamiltonianFamily(
-        name="pt-dimer",
-        dimension=2,
-        builder=lambda p: stacked([[1j * p.q2 + shift, p.q1], [p.q1, -1j * p.q2 + shift]], p),
-        gradient=lambda p: (stacked([[0, 1], [1, 0]], p), stacked([[1j, 0], [0, -1j]], p)),
-    )
 
 
 class TestPTDimer:
