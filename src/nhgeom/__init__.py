@@ -8,6 +8,7 @@ conventional), and extracts Jordan chains at defective degeneracies.
 __version__ = "0.1.0"
 
 from .errors import (
+    ArgumentError,
     BandAmbiguityError,
     DimensionMismatchError,
     EPNotFoundError,

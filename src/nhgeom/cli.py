@@ -8,8 +8,9 @@ Float columns are rendered by `float_cells`, one repr per run of equal
 magnitudes, and a CSV table is written from one join of its fields and
 separators; `write_s` times both.
 Option precedence is defaults < config file (flat ``key = value`` lines,
-``#`` comments) < command-line flags.  Exit codes: 0 ok, 2 usage/config
-error, 3 whole-run computation failure (per-cell failures are data).
+``#`` comments) < command-line flags.  Exit codes: 0 ok; 2 when the
+command line, the config file or an argument check (ArgumentError) rejects
+an input; 3 when the computation fails (per-cell failures are data).
 """
 
 import csv
@@ -25,7 +26,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import NhgeomError
+from .errors import ArgumentError, NhgeomError
 from .geometry import OK, STATUSES, grid_scan, line_scan, polar_sweep, straddle_fidelity
 from .linalg import band_order, eigenvalues
 from .model import _FAMILIES, get_family
@@ -137,36 +138,38 @@ def write_rows(out, fmt, header, columns, started):
     `columns` are equal-length sequences, one per `header` name; a None
     field is an empty CSV cell / JSON null.  The CSV bytes are those that
     ``csv.writer(fh, lineterminator="\\n")`` writes for the header and the
-    rows, from one join of a list in which the fields alternate with their
-    "," and "\\n" separators.
+    rows.  They come from one join of a list in which the fields alternate
+    with their "," and "\\n" separators, or from csv.writer itself for a
+    table of one column or with a field that needs quoting.
     """
-    nrows = len(columns[0])
-    if fmt == "csv":
-        k = len(header)
-        parts = [","] * (2 * k * (nrows + 1))
-        parts[2 * k - 1::2 * k] = ["\n"] * (nrows + 1)
-        parts[:2 * k:2] = _csv_cells(list(header), alone=k == 1)
-        for i, column in zip(range(2 * k, 4 * k, 2), columns, strict=True):
-            parts[i::2 * k] = _csv_cells(column, alone=k == 1)
-        data = "".join(parts)
-    else:
+    nrows, k = len(columns[0]), len(header)
+    if fmt == "json":
         records = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
         data = json.dumps(records, indent=1) + "\n"
+    elif k == 1 or None in (cells := list(map(_csv_cells, [list(header), *columns]))):
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerows([header, *zip(*columns, strict=True)])
+        data = buf.getvalue()
+    else:
+        parts = [","] * (2 * k * (nrows + 1))
+        parts[2 * k - 1::2 * k] = ["\n"] * (nrows + 1)
+        parts[:2 * k:2] = cells[0]
+        for i, column in zip(range(2 * k, 4 * k, 2), cells[1:], strict=True):
+            parts[i::2 * k] = column
+        data = "".join(parts)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
     return {"rows": nrows, "write_s": time.monotonic() - started}
 
 
-def _csv_cells(column, alone):
+def _csv_cells(column):
     """The fields of `column` as the strs that, joined with their
-    separators, write what csv.writer writes.
+    separators, write what csv.writer writes; None if one needs quoting.
 
     csv.writer writes None as an empty field and any other non-str as its
     str(); an int column calls str() once per distinct value (a float
     column cannot share them by value: 0.0 == -0.0).  It quotes a field
-    that holds a delimiter, a quote or a line break, and the lone field of
-    a one-column row when it is empty; such fields are passed through csv
-    itself.
+    that holds a delimiter, a quote or a line break.
     """
     try:
         text = "".join(column)
@@ -176,15 +179,7 @@ def _csv_cells(column, alone):
             return list(map(strs.__getitem__, column))
         column = ["" if v is None else str(v) for v in column]
         text = "".join(column)
-    if not any(c in text for c in ',"\r\n') and not (alone and "" in column):
-        return column
-
-    def render(field):  # as csv writes it in a row of one field, or of more
-        buf = io.StringIO(newline="")
-        csv.writer(buf, lineterminator="\n").writerow([field] if alone else [field, ""])
-        return buf.getvalue()[:-1 if alone else -2]
-
-    return list(map(render, column))
+    return None if any(c in text for c in ',"\r\n') else column
 
 
 def write_record(out, record):
@@ -279,7 +274,7 @@ CONFIG = click.option(
 FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
 )
-BAND = click.option("--band", type=click.IntRange(-1, 1), default=0, show_default=True)
+BAND = click.option("--band", type=int, default=0, show_default=True)
 # The chi sweeps' band, and a process count they no longer use.
 CHI_OPTIONS = (
     BAND,
@@ -299,9 +294,10 @@ def command(name, *options):
 
     The decorated body is called as body(family, out, **other_options); it
     writes the data file and returns its manifest fields (the row count,
-    and more where a writer adds them).  This wrapper writes the manifest,
-    and turns a computation error (NhgeomError, ValueError) into exit
-    code 3, with no data file written.
+    and more where a writer adds them).  This wrapper writes the manifest.
+    It turns an ArgumentError into a usage error (exit code 2) and any
+    other computation error (NhgeomError, ValueError) into exit code 3,
+    with no data file written.
     """
 
     def register(body):
@@ -311,6 +307,8 @@ def command(name, *options):
             family = get_family(model)
             try:
                 fields = body(family, out, **params)
+            except ArgumentError as err:
+                raise click.UsageError(str(err)) from err
             except (NhgeomError, ValueError) as err:
                 click.echo(f"computation failed: {err}", err=True)
                 sys.exit(3)
@@ -371,8 +369,6 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
     boxv = parse_finite(box, 4, "--box")
     nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
-    if nx < 2 or ny < 2:
-        raise click.UsageError(f"resolution must be at least 2x2, got {nx}x{ny}")
     dirv = parse_numbers(direction, 2, "--direction")
     sweep = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
     return write_chi(out, fmt, ["q1", "q2"], sweep)
@@ -387,8 +383,6 @@ def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
 )
 def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
-    if not math.isfinite(q1):
-        raise click.UsageError(f"--q1 must be finite, got {q1}")
     q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
     dirv = parse_numbers(direction, 2, "--direction")
     sweep = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
@@ -405,10 +399,6 @@ def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direct
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
     q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
-    if not math.isfinite(q1):
-        raise click.UsageError(f"--q1 must be finite, got {q1}")
-    if not 0 < delta < math.inf:
-        raise click.UsageError(f"--delta must be positive and finite, got {delta}")
     sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
     return write_sweep(out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"],
                        sweep, [sweep.values.real, sweep.values.imag], constants=[fnum(delta)])
@@ -427,17 +417,9 @@ def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     centerv = parse_numbers(center, 2, "--center")
     radiiv = parse_numbers(radii, None, "--radii")
     if angles is not None:
-        anglesv = parse_finite(angles, None, "--angles")
-        if not anglesv:
-            raise click.UsageError("--angles must be nonempty")
+        anglesv = parse_numbers(angles, None, "--angles")
     else:
         anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
-    if not radiiv:
-        raise click.UsageError("--radii must be nonempty")
-    if not all(r > 0 for r in radiiv):
-        raise click.UsageError(f"all radii must be positive, got {radii!r}")
-    if not all(map(math.isfinite, radiiv)):
-        raise click.UsageError(f"--radii must be finite, got {radii!r}")
     sweep = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
     return write_chi(out, fmt, ["r", "phi"], sweep)
 
@@ -482,8 +464,6 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
     a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
     boxv = parse_finite(box, 4, "--box")
-    if not (math.isfinite(step) and step != 0):
-        raise click.UsageError(f"--step must be finite and nonzero, got {step}")
     seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
     points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
     label = phase_of(family.matrices(*np.array([ep.point for ep in points]).T))

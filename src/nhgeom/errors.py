@@ -5,11 +5,15 @@ class NhgeomError(Exception):
     """Base class for all nhgeom errors."""
 
 
-class NonFiniteError(NhgeomError):
+class ArgumentError(NhgeomError, ValueError):
+    """An argument is outside what the function accepts."""
+
+
+class NonFiniteError(ArgumentError):
     """An input array contains NaN or Inf entries."""
 
 
-class DimensionMismatchError(NhgeomError):
+class DimensionMismatchError(ArgumentError):
     """Operands have incompatible shapes."""
 
 

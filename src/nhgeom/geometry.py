@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BandAmbiguityError, NormalizationBreakdownError
+from .errors import ArgumentError, BandAmbiguityError, NormalizationBreakdownError
 from .linalg import eigendecompose, matrix_scale, norm
 from .model import ParameterPoint, as_point, circle_points
 
@@ -50,9 +50,9 @@ class Displacement:
     def __post_init__(self):
         n1, n2 = self.direction
         if not abs(n1 * n1 + n2 * n2 - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"direction {self.direction} is not a unit vector")
+            raise ArgumentError(f"direction {self.direction} is not a unit vector")
         if not (self.magnitude >= 0 and math.isfinite(self.magnitude)):
-            raise ValueError(f"bad displacement magnitude {self.magnitude}")
+            raise ArgumentError(f"bad displacement magnitude {self.magnitude}")
 
     def applied_to(self, p):
         p = as_point(p)
@@ -66,9 +66,9 @@ def unit(v):
     n1, n2 = float(v[0]), float(v[1])
     norm = math.hypot(n1, n2)
     if norm == 0:
-        raise ValueError("zero direction vector")
+        raise ArgumentError("zero direction vector")
     if not norm < math.inf:
-        raise ValueError(f"non-finite direction vector {(n1, n2)}")
+        raise ArgumentError(f"non-finite direction vector {(n1, n2)}")
     return (n1 / norm, n2 / norm)
 
 
@@ -93,7 +93,7 @@ def band_index(band, dim):
     labels = range(dim // 2 - dim + 1, dim // 2 + 1)
     if band not in labels:
         names = ", ".join(f"{b:+d}" if b else "0" for b in labels)
-        raise ValueError(f"band must be one of {names}; got {band}")
+        raise ArgumentError(f"band must be one of {names}; got {band}")
     return dim // 2 - band
 
 
@@ -237,11 +237,11 @@ def _sum_over_states(family, band, q1, q2, n1, n2):
     is ep_breakdown, with chi and the error NaN; the others are ok and
     follow `susceptibility`.
     """
+    n = band_index(band, family.dimension)
     h = family.matrices(q1, q2).reshape(-1, family.dimension, family.dimension)
     d1, d2 = family.gradient(ParameterPoint(q1, q2))
     dh = (n1 * d1 + n2 * d2).reshape(h.shape)
     system = eigendecompose(h)
-    n = band_index(band, system.dim)
     status = np.where(system.breakdown | system.condition_flags[:, n], EP_BREAKDOWN, OK)
     ok = status == OK
     w, lefts, rights = system.energies[ok], system.lefts[ok], system.rights[ok]
@@ -331,7 +331,7 @@ def grid_scan(family, box, resolution, band, direction):
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
-        raise ValueError(f"grid resolution must be at least 2x2, got {resolution}")
+        raise ArgumentError(f"grid resolution must be at least 2x2, got {resolution}")
     q1min, q1max, q2min, q2max = box
     q1, q2 = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
     columns = _sum_over_states(family, band, np.tile(q1, ny), np.repeat(q2, nx), *unit(direction))
@@ -351,18 +351,18 @@ def polar_sweep(family, center, radii, angles, band):
 
     The displacement direction at polar angle phi is the inward radial
     direction -(cos phi, sin phi), i.e. the fidelity between the states at
-    r and r - dq.  All radii must be positive and all angles finite.  The
-    cells' coords are (r, phi).
+    r and r - dq.  All radii must be positive and finite, and all angles
+    finite.  The cells' coords are (r, phi).
     """
     center = as_point(center)
     radii = [float(r) for r in radii]
     angles = [float(a) for a in angles]
     if not radii or not angles:
-        raise ValueError("radii and angles must be nonempty")
-    if not all(r > 0 for r in radii):
-        raise ValueError(f"all radii must be positive; got {radii}")
+        raise ArgumentError("radii and angles must be nonempty")
+    if not all(0 < r < math.inf for r in radii):
+        raise ArgumentError(f"all radii must be positive and finite; got {radii}")
     if not all(map(math.isfinite, angles)):
-        raise ValueError(f"all angles must be finite; got {angles}")
+        raise ArgumentError(f"all angles must be finite; got {angles}")
     inward = [unit((-math.cos(phi), -math.sin(phi))) for phi in angles]
     n1, n2 = np.tile(np.array(inward).T, len(radii))
     q1, q2 = circle_points(center, radii, angles)
@@ -378,7 +378,7 @@ def straddle_fidelity(family, band, q2_values, delta, q1=0.0):
     Returns a Sweep whose cells' coords are (q1, q2).
     """
     if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+        raise ArgumentError(f"delta must be positive and finite, got {delta}")
     q2 = np.asarray(q2_values, dtype=float).ravel()
     q1 = np.full(q2.shape, float(q1))
     return Sweep((q1[:1], q2), 0, band, *_fidelities(family, band, q1, q2, q1, q2 + float(delta)))

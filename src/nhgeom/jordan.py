@@ -56,13 +56,12 @@ class JordanChain:
     phi0: np.ndarray  # left eigenvector (row covector)
     eta: np.ndarray  # left generalized vector (row covector)
     residuals: tuple  # (A psi0, A chi - psi0, phi0 A, eta A - phi0) norms
-    gauge_record: dict
 
 
 @dataclass(frozen=True)
 class DispersionDiagnostic:
     angle: float
-    a_coefficient: complex  # <phi0| dH(phi) |psi0> in the recorded gauge
+    a_coefficient: complex  # <phi0| dH(phi) |psi0> in the chain's gauge
     sqrt_coefficient: complex  # predicted Puiseux amplitude 2 sqrt(A/<eta|psi0>)
     splitting_fit: tuple  # (linear slope, sqrt amplitude), raw fit
     normalized_sqrt_amplitude: float  # |sqrt amplitude| over the splitting at FIT_RADII[0]
@@ -119,11 +118,9 @@ def jordan_chain(h, energy):
 
     # Fix the chain gauge: scale the left pair so <eta|psi0> = 1.
     c = complex(eta @ psi0)
-    gauge = {"psi0_norm": 1.0, "eta_psi0_raw": c}
     if abs(c) > 1e-12:
         phi0 = phi0 / c
         eta = eta / c
-        gauge["left_scale"] = 1.0 / c
 
     residuals = (
         float(np.linalg.norm(a @ psi0)),
@@ -138,12 +135,11 @@ def jordan_chain(h, energy):
         phi0=phi0,
         eta=eta,
         residuals=residuals,
-        gauge_record=gauge,
     )
 
 
 def a_coefficient(chain, dh):
-    """Directional matrix element <phi0| dH |psi0> in the recorded gauge.
+    """Directional matrix element <phi0| dH |psi0> in the chain's gauge.
 
     Its magnitude depends on the chain normalization; vanishing or not is
     gauge invariant.

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import ArgumentError, NonFiniteError
 
 
 class ParameterPoint(NamedTuple):
@@ -41,9 +41,10 @@ def as_points(p):
         return as_point(p)
     q1, q2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
     if q1.shape != q2.shape:
-        raise ValueError(f"q1 and q2 differ in shape: {q1.shape} != {q2.shape}")
-    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
-        raise NonFiniteError(f"non-finite entry in a stack of {q1.size} parameter points")
+        raise ArgumentError(f"q1 and q2 differ in shape: {q1.shape} != {q2.shape}")
+    for name, q in (("q1", q1), ("q2", q2)):
+        if not np.isfinite(q).all():
+            raise NonFiniteError(f"non-finite {name} in a stack of {q.size} parameter points")
     return ParameterPoint(q1, q2)
 
 

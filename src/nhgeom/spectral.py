@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EPNotFoundError, LostTrackError
+from .errors import ArgumentError, EPNotFoundError, LostTrackError
 from .linalg import eigenpairs, norm
 from .model import ParameterPoint, as_point
 
@@ -347,13 +347,13 @@ def trace_exceptional_line(family, seed, step, max_points, box=(-2, 2, 0, 2)):
     (disc > 0) on its right; later ones step along the last secant.  One
     find_ep_on_segment call across each prediction, of half-width
     0.6 |step|, corrects it.  Stops at `max_points` or when a point leaves
-    `box` = (q1min, q1max, q2min, q2max).  Raises ValueError for a zero or
+    `box` = (q1min, q1max, q2min, q2max).  Raises ArgumentError for a zero or
     non-finite step, and LostTrackError when the seed's gradient is within
     TOUCH_NOISE_FACTOR round-off bounds of zero (a singular point such as
     the Dirac EP) or a corrector finds no EP.
     """
     if not (math.isfinite(step) and step != 0):
-        raise ValueError(f"step must be finite and nonzero, got {step}")
+        raise ArgumentError(f"step must be finite and nonzero, got {step}")
     points = [seed][:max_points]
     h, w = abs(step), 0.6 * abs(step)  # the step and the corrector's half-width
     while 0 < len(points) < max_points:

@@ -33,7 +33,7 @@ from nhgeom.cli import float_cells, main, write_rows
 from nhgeom.geometry import band_index
 
 import exact
-from conftest import imaginary_detuning_family, numpy_eigensolve
+from conftest import imaginary_detuning_family, numpy_eigensolve, pt_dimer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -146,6 +146,15 @@ class TestFloatCells:
         assert float_cells(values).tolist() == list(map(repr, values.tolist()))
 
 
+# Four real levels 4 + q1 > 1 > -1 + q2 > -3 on the box -0.5,0.5,0,0.5.
+FOUR_LEVEL = HamiltonianFamily.affine(
+    "four-level",
+    [[4, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],
+    np.diag([1, 0, 0, 0]),
+    np.diag([0, 0, 1, 0]),
+)
+
+
 class TestSpectrumScan:
     def test_row_count_and_schema(self, runner, tmp_path):
         out = tmp_path / "spec.csv"
@@ -186,15 +195,8 @@ class TestSpectrumScan:
         assert not out.exists()
 
     def test_band_labels_follow_band_index(self, runner, tmp_path, monkeypatch):
-        # Four real levels 4 + q1 > 1 > -1 + q2 > -3 on the box below; the
-        # row labelled b holds the slot band_index(b, 4) picks.
-        four = HamiltonianFamily.affine(
-            "four-level",
-            [[4, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],
-            np.diag([1, 0, 0, 0]),
-            np.diag([0, 0, 1, 0]),
-        )
-        monkeypatch.setattr(cli, "get_family", lambda name: four)
+        # The row labelled b holds the slot band_index(b, 4) picks.
+        monkeypatch.setattr(cli, "get_family", lambda name: FOUR_LEVEL)
         out = tmp_path / "spec.csv"
         run_ok(runner, [
             "spectrum-scan", "--box", "-0.5,0.5,0,0.5", "--resolution", "2,2",
@@ -204,7 +206,7 @@ class TestSpectrumScan:
         assert len(rows) == 2 * 2 * 4
         assert {r[2] for r in rows} == {"2", "1", "0", "-1"}
         for r in rows:
-            w = numpy_eigensolve(four.matrix((float(r[0]), float(r[1]))))
+            w = numpy_eigensolve(FOUR_LEVEL.matrix((float(r[0]), float(r[1]))))
             slots = sorted(w.real, reverse=True)
             assert float(r[3]) == slots[band_index(int(r[2]), 4)]
 
@@ -430,6 +432,35 @@ class TestChiScan:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("family,band,code", [
+        (FOUR_LEVEL, 2, 0), (FOUR_LEVEL, -2, 2), (pt_dimer(), -1, 2), (pt_dimer(), 1, 0),
+    ], ids=["four-level-2", "four-level--2", "pt-dimer--1", "pt-dimer-1"])
+    def test_band_is_checked_for_the_family(self, runner, tmp_path, monkeypatch,
+                                            family, band, code):
+        # --band takes exactly the labels band_index gives the family.
+        monkeypatch.setattr(cli, "get_family", lambda name: family)
+        out = tmp_path / "chi.csv"
+        result = runner.invoke(main, [
+            "chi-scan", "--box", "-0.5,0.5,0.1,0.5", "--resolution", "2,2",
+            "--band", str(band), "--out", str(out),
+        ])
+        assert result.exit_code == code, result.output
+        assert out.exists() == (code == 0)
+        if code:
+            assert "band must be one of" in result.output
+
+    def test_linalg_error_exits_3(self, runner, tmp_path, monkeypatch):
+        # A ValueError that is no ArgumentError is a computation failure.
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "grid_scan", singular)
+        out = tmp_path / "chi.csv"
+        result = runner.invoke(main, ["chi-scan", "--resolution", "2,2", "--out", str(out)])
+        assert result.exit_code == 3
+        assert "computation failed: Singular matrix" in result.output
+        assert not out.exists()
+
 
 class TestLineCut:
     def test_divergence_near_dirac_ep(self, runner, tmp_path):
@@ -464,7 +495,7 @@ class TestStraddle:
         out = tmp_path / "straddle.csv"
         result = runner.invoke(main, ["straddle", "--delta", delta, "--out", str(out)])
         assert result.exit_code == 2
-        assert "--delta must be positive and finite" in result.output
+        assert f"delta must be positive and finite, got {float(delta)}" in result.output
         assert not out.exists()
 
 
@@ -493,32 +524,32 @@ class TestPolar:
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["polar", "--radii", ",", "--out", str(out)])
         assert result.exit_code == 2
-        assert "--radii must be nonempty" in result.output
+        assert "radii and angles must be nonempty" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("angles", ["", ",", " "])
     def test_empty_angles_exit_2(self, runner, tmp_path, angles, monkeypatch):
         # A usage error, found before any work, like an empty --radii.
         def no_work(*args):
-            raise AssertionError("polar_sweep called")
+            raise AssertionError("susceptibilities computed")
 
-        monkeypatch.setattr("nhgeom.cli.polar_sweep", no_work)
+        monkeypatch.setattr("nhgeom.geometry._sum_over_states", no_work)
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["polar", "--angles", angles, "--out", str(out)])
         assert result.exit_code == 2
-        assert "--angles must be nonempty" in result.output
+        assert "radii and angles must be nonempty" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("angles", ["inf", "-inf", "nan", "0,nan"])
     def test_non_finite_angles_exit_2(self, runner, tmp_path, angles, monkeypatch):
         def no_work(*args):
-            raise AssertionError("polar_sweep called")
+            raise AssertionError("susceptibilities computed")
 
-        monkeypatch.setattr("nhgeom.cli.polar_sweep", no_work)
+        monkeypatch.setattr("nhgeom.geometry._sum_over_states", no_work)
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["polar", "--angles", angles, "--out", str(out)])
         assert result.exit_code == 2
-        assert "--angles must be finite" in result.output
+        assert "all angles must be finite" in result.output
         assert not out.exists()
 
 
@@ -764,7 +795,7 @@ class TestTraceLine:
             "trace-line", "--segment", "0,1.2,0,1.7", "--step", step, "--out", str(out),
         ])
         assert result.exit_code == 2
-        assert "--step must be finite and nonzero" in result.output
+        assert f"step must be finite and nonzero, got {float(step)}" in result.output
         assert not out.exists()
 
     def test_lost_track_exits_3(self, runner, tmp_path):
@@ -797,11 +828,11 @@ class TestJordanCommand:
         ])
         assert result.exit_code == 3
 
-    def test_nonfinite_point_exits_3(self, runner, tmp_path):
+    def test_nonfinite_point_exits_2(self, runner, tmp_path):
         out = tmp_path / "x.json"
         result = runner.invoke(main, ["jordan", "--point", "nan,1", "--out", str(out)])
-        assert result.exit_code == 3
-        assert "computation failed" in result.output
+        assert result.exit_code == 2
+        assert "non-finite parameter point" in result.output
         assert not out.exists()
 
     def test_real_energy_alone(self, runner, tmp_path):
@@ -1018,14 +1049,24 @@ BASE_ARGS = {
     pytest.param("line-cut", "inf,1", "non-finite direction vector", id="line-cut-inf"),
     pytest.param("chi-scan", "nan,1", "non-finite direction vector", id="chi-scan-nan"),
 ])
-def test_bad_direction_exits_3(runner, tmp_path, command, direction, message):
+def test_bad_direction_exits_2(runner, tmp_path, command, direction, message):
     out = tmp_path / "x.csv"
     result = runner.invoke(main, [
         command, *BASE_ARGS[command], "--direction", direction, "--out", str(out),
     ])
-    assert result.exit_code == 3
+    assert result.exit_code == 2
     assert message in result.output
     assert not out.exists()
+
+
+# The flags whose values the library checks, with the start of its message.
+LIBRARY_MESSAGES = {
+    ("polar", "--radii"): "all radii must be positive and finite",
+    ("line-cut", "--q1"): "non-finite q1 in a stack",
+    ("straddle", "--q1"): "non-finite q1 in a stack",
+    ("polar", "--center"): "non-finite parameter point",
+    ("ep-locate", "--segment"): "non-finite parameter point",
+}
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -1037,6 +1078,8 @@ def test_bad_direction_exits_3(runner, tmp_path, command, direction, message):
     ("line-cut", "--q1", "inf"),
     ("straddle", "--q1", "nan"),
     ("trace-line", "--box", "nan,2,0,2"),
+    ("polar", "--center", "inf,1"),
+    ("ep-locate", "--segment", "nan,0.5,0,1.3"),
 ])
 def test_non_finite_range_exits_2(runner, tmp_path, command, flag, value):
     # A usage error, found before numpy sees the value: no warning leaks.
@@ -1046,7 +1089,7 @@ def test_non_finite_range_exits_2(runner, tmp_path, command, flag, value):
         result = runner.invoke(main, [command, *BASE_ARGS[command], flag, value,
                                       "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert f"{flag} must be finite" in result.output
+    assert LIBRARY_MESSAGES.get((command, flag), f"{flag} must be finite") in result.output
     assert not out.exists()
 
 

@@ -10,8 +10,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from nhgeom import (
+    ArgumentError,
     BandAmbiguityError,
     Displacement,
+    NhgeomError,
     NormalizationBreakdownError,
     ScanCell,
     Sweep,
@@ -26,9 +28,9 @@ from nhgeom import (
     susceptibility,
 )
 from nhgeom.geometry import band_index, fidelity_from_systems, unit
-from nhgeom.linalg import matrix_scale
-from nhgeom.model import as_point
-from nhgeom.spectral import closest_pair
+from nhgeom.linalg import as_complex_matrix, matrix_scale
+from nhgeom.model import as_point, as_points
+from nhgeom.spectral import closest_pair, trace_exceptional_line
 
 from conftest import imaginary_detuning_family, reference_line_q2
 
@@ -593,6 +595,12 @@ class TestPolarSweep:
         with pytest.raises(ValueError, match="angles must be finite"):
             polar_sweep(family, (0.0, 1.0), [0.1], [0.0, angle], 0)
 
+    def test_infinite_radius_rejected_before_numpy_sees_it(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="radii must be positive and finite"):
+                polar_sweep(family, (0.0, 1.0), [0.1, math.inf], [0.0, 1.0], 0)
+
     def test_no_radii_rejected(self, family):
         with pytest.raises(ValueError, match="radii and angles must be nonempty"):
             polar_sweep(family, (0.0, 1.0), [], [0.0], 0)
@@ -631,6 +639,54 @@ class TestStraddle:
     def test_bad_delta_rejected(self, family, delta):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             straddle_fidelity(family, 0, [1.2], delta=delta)
+
+
+# Each argument check of the library, as a call on the NV family that fails it.
+ARGUMENT_CHECKS = {
+    "unit-zero": lambda fam: unit((0.0, 0.0)),
+    "unit-inf": lambda fam: unit((math.inf, 1.0)),
+    "displacement-not-unit": lambda fam: Displacement((1.0, 1.0), 0.1),
+    "displacement-negative": lambda fam: Displacement((1.0, 0.0), -0.1),
+    "band-index": lambda fam: band_index(2, 3),
+    "grid-resolution": lambda fam: grid_scan(fam, (0, 1, 0, 1), (1, 5), 0, (0, 1)),
+    "grid-band": lambda fam: grid_scan(fam, (0, 1, 0, 1), (2, 2), -2, (0, 1)),
+    "polar-no-radii": lambda fam: polar_sweep(fam, (0.0, 1.0), [], [0.0], 0),
+    "polar-radius": lambda fam: polar_sweep(fam, (0.0, 1.0), [0.0], [0.0], 0),
+    "polar-angle": lambda fam: polar_sweep(fam, (0.0, 1.0), [0.1], [math.nan], 0),
+    "polar-center": lambda fam: polar_sweep(fam, (math.inf, 1.0), [0.1], [0.0], 0),
+    "straddle-delta": lambda fam: straddle_fidelity(fam, 0, [1.2], delta=0.0),
+    "straddle-band": lambda fam: straddle_fidelity(fam, 3, [1.2], delta=0.1),
+    "trace-step": lambda fam: trace_exceptional_line(fam, None, math.nan, 5),
+    "point": lambda fam: as_point((math.nan, 0.0)),
+    "points-shape": lambda fam: as_points(([0.0, 1.0], [0.0])),
+    "matrix-shape": lambda fam: as_complex_matrix(np.ones((2, 3))),
+    "matrix-nan": lambda fam: eigendecompose(np.full((2, 2), math.nan)),
+}
+
+
+@pytest.mark.parametrize("call", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS.keys())
+def test_argument_checks_raise_argument_error(family, call):
+    with pytest.raises(ArgumentError) as info:
+        call(family)
+    assert isinstance(info.value, ValueError) and isinstance(info.value, NhgeomError)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda fam: grid_scan(fam, (-1, 1, 0, 2), (41, 41), 2, (0, 1)),
+    lambda fam: polar_sweep(fam, (0.0, 1.0), [0.1, 0.2], [0.0, 1.0], -2),
+], ids=["grid", "polar"])
+def test_bad_band_fails_before_any_eigensolve(family, monkeypatch, sweep):
+    def no_work(*args):
+        raise AssertionError("eigensolve called")
+
+    monkeypatch.setattr("nhgeom.geometry.eigendecompose", no_work)
+    with pytest.raises(ArgumentError, match="band must be one of -1, 0, \\+1"):
+        sweep(family)
+
+
+def test_points_name_the_coordinate_that_is_not_finite(family):
+    with pytest.raises(ArgumentError, match="non-finite q2 in a stack of 2 parameter points"):
+        family.matrices(np.zeros(2), np.array([0.0, math.inf]))
 
 
 # The per-point fidelity that the stacked kernel replaced: two single-matrix

@@ -131,7 +131,6 @@ class TestJordanChain:
             phi0=dirac_chain.phi0,
             eta=dirac_chain.eta,
             residuals=dirac_chain.residuals,
-            gauge_record={},
         )
         # use the conventional EP's dH to get a nonzero element at (0,1)?
         # no: all dH annihilate the Dirac pair, so use a generic matrix
