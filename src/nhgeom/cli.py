@@ -10,7 +10,8 @@ separators; `write_s` times both.
 Option precedence is defaults < config file (flat ``key = value`` lines,
 ``#`` comments) < command-line flags.  Exit codes: 0 ok; 2 when the
 command line, the config file or an argument check (ArgumentError) rejects
-an input; 3 when the computation fails (per-cell failures are data).
+an input; 3 when the computation fails, numpy overflow and invalid
+operations included (per-cell failures are data).
 """
 
 import csv
@@ -46,24 +47,24 @@ def fnum(x):
     return repr(float(x))
 
 
-def parse_numbers(text, n=None, name="value", kind=float):
-    """Comma-separated numbers of type `kind` (float or int), `n` of them if given."""
-    what = "floats" if kind is float else "integers"
-    try:
-        vals = [kind(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
-        raise click.UsageError(f"could not parse {name} {text!r} as {what}")
-    if n is not None and len(vals) != n:
-        raise click.UsageError(f"{name} needs {n} comma-separated {what}, got {text!r}")
-    return vals
+class Numbers(click.ParamType):
+    """A comma-separated list of numbers of type `kind` (float or int), `n` of
+    them if given, all finite if `finite`; empty fields are skipped."""
 
+    def __init__(self, n=None, kind=float, finite=False):
+        self.n, self.kind, self.finite = n, kind, finite
+        self.name = "floats" if kind is float else "integers"
 
-def parse_finite(text, n, name):
-    """`parse_numbers` for floats that must all be finite."""
-    vals = parse_numbers(text, n, name)
-    if not all(map(math.isfinite, vals)):
-        raise click.UsageError(f"{name} must be finite, got {text!r}")
-    return vals
+    def convert(self, value, param, ctx):
+        try:
+            vals = [self.kind(v) for v in value.split(",") if v.strip()]
+        except ValueError:
+            self.fail(f"could not parse {value!r} as {self.name}", param, ctx)
+        if self.n is not None and len(vals) != self.n:
+            self.fail(f"needs {self.n} comma-separated {self.name}, got {value!r}", param, ctx)
+        if self.finite and not all(map(math.isfinite, vals)):
+            self.fail(f"must be finite, got {value!r}", param, ctx)
+        return vals
 
 
 def read_config_file(path):
@@ -275,6 +276,8 @@ FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
 )
 BAND = click.option("--band", type=int, default=0, show_default=True)
+BOX, RANGE = Numbers(4, finite=True), Numbers(2, finite=True)  # np.linspace ends
+PAIR, SEGMENT, RESOLUTION = Numbers(2), Numbers(4), Numbers(2, kind=int)
 # The chi sweeps' band, and a process count they no longer use.
 CHI_OPTIONS = (
     BAND,
@@ -294,10 +297,11 @@ def command(name, *options):
 
     The decorated body is called as body(family, out, **other_options); it
     writes the data file and returns its manifest fields (the row count,
-    and more where a writer adds them).  This wrapper writes the manifest.
-    It turns an ArgumentError into a usage error (exit code 2) and any
-    other computation error (NhgeomError, ValueError) into exit code 3,
-    with no data file written.
+    and more where a writer adds them).  This wrapper writes the manifest,
+    whose config is each resolved option in CLI syntax.  It turns an
+    ArgumentError into a usage error (exit code 2) and any other computation
+    error (NhgeomError, ValueError, or FloatingPointError: the body runs
+    under ``np.errstate(all="raise")``) into exit code 3, with no data file.
     """
 
     def register(body):
@@ -306,14 +310,16 @@ def command(name, *options):
             started = time.monotonic()
             family = get_family(model)
             try:
-                fields = body(family, out, **params)
+                with np.errstate(all="raise", under="ignore"):
+                    fields = body(family, out, **params)
             except ArgumentError as err:
                 raise click.UsageError(str(err)) from err
-            except (NhgeomError, ValueError) as err:
+            except (NhgeomError, ValueError, FloatingPointError) as err:
                 click.echo(f"computation failed: {err}", err=True)
                 sys.exit(3)
             config = {"model": model, "out": out, **params}
-            config = {k: str(v) for k, v in config.items() if v is not None}
+            config = {k: ",".join(map(repr, v)) if isinstance(v, list) else str(v)
+                      for k, v in config.items() if v is not None}
             write_manifest(out, name, config, started, fields)
 
         for option in reversed((MODEL, OUT, *options, CONFIG)):
@@ -325,16 +331,15 @@ def command(name, *options):
 
 @command(
     "spectrum-scan", FORMAT,
-    click.option("--box", default="-2,2,0,2", show_default=True),
-    click.option("--resolution", default="101,101", show_default=True),
+    click.option("--box", type=BOX, default="-2,2,0,2", show_default=True),
+    click.option("--resolution", type=RESOLUTION, default="101,101", show_default=True),
 )
 def cmd_spectrum_scan(family, out, fmt, box, resolution):
     """Eigenenergies and PT phase label on a (q1, q2) grid."""
-    q1min, q1max, q2min, q2max = parse_finite(box, 4, "--box")
-    nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
+    nx, ny = resolution
     if nx < 1 or ny < 1:
         raise click.UsageError(f"resolution must be positive, got {nx}x{ny}")
-    q1_axis, q2_axis = np.linspace(q1min, q1max, nx), np.linspace(q2min, q2max, ny)
+    q1_axis, q2_axis = np.linspace(*box[:2], nx), np.linspace(*box[2:], ny)
     q2s, q1s = np.meshgrid(q2_axis, q1_axis, indexing="ij")
     h = family.matrices(q1s.ravel(), q2s.ravel())
     labels, w = phase_of(h).label, eigenvalues(h)
@@ -361,84 +366,73 @@ def cmd_spectrum_scan(family, out, fmt, box, resolution):
 
 @command(
     "chi-scan", FORMAT, *CHI_OPTIONS,
-    click.option("--box", default="-1.5,1.5,0,2", show_default=True),
-    click.option("--resolution", default="41,41", show_default=True),
-    click.option("--direction", default="0,1", show_default=True),
+    click.option("--box", type=BOX, default="-1.5,1.5,0,2", show_default=True),
+    click.option("--resolution", type=RESOLUTION, default="41,41", show_default=True),
+    click.option("--direction", type=PAIR, default="0,1", show_default=True),
 )
 def cmd_chi_scan(family, out, fmt, band, workers, box, resolution, direction):
     """Fidelity susceptibility density scan over a (q1, q2) box."""
-    boxv = parse_finite(box, 4, "--box")
-    nx, ny = parse_numbers(resolution, 2, "--resolution", kind=int)
-    dirv = parse_numbers(direction, 2, "--direction")
-    sweep = grid_scan(family, tuple(boxv), (nx, ny), band, tuple(dirv))
+    sweep = grid_scan(family, tuple(box), tuple(resolution), band, tuple(direction))
     return write_chi(out, fmt, ["q1", "q2"], sweep)
 
 
 @command(
     "line-cut", FORMAT, *CHI_OPTIONS,
     click.option("--q1", type=float, default=0.0, show_default=True),
-    click.option("--q2-range", default="0,2", show_default=True),
+    click.option("--q2-range", type=RANGE, default="0,2", show_default=True),
     click.option("--n-points", type=click.IntRange(min=2), default=201, show_default=True),
-    click.option("--direction", default="0,1", show_default=True),
+    click.option("--direction", type=PAIR, default="0,1", show_default=True),
 )
 def cmd_line_cut(family, out, fmt, band, workers, q1, q2_range, n_points, direction):
     """Susceptibility along a q2 line at fixed q1."""
-    q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
-    dirv = parse_numbers(direction, 2, "--direction")
-    sweep = line_scan(family, q1, np.linspace(q2lo, q2hi, n_points), band, dirv)
+    sweep = line_scan(family, q1, np.linspace(*q2_range, n_points), band, direction)
     return write_chi(out, fmt, ["q1", "q2"], sweep)
 
 
 @command(
     "straddle", FORMAT, BAND,
     click.option("--q1", type=float, default=0.0, show_default=True),
-    click.option("--q2-range", default="1.2,1.45", show_default=True),
+    click.option("--q2-range", type=RANGE, default="1.2,1.45", show_default=True),
     click.option("--n-points", type=click.IntRange(min=1), default=51, show_default=True),
     click.option("--delta", type=float, default=0.05, show_default=True),
 )
 def cmd_straddle(family, out, fmt, band, q1, q2_range, n_points, delta):
     """Fidelity between (q1, q2) and (q1, q2 + delta) along a q2 ladder."""
-    q2lo, q2hi = parse_finite(q2_range, 2, "--q2-range")
-    sweep = straddle_fidelity(family, band, np.linspace(q2lo, q2hi, n_points), delta, q1=q1)
+    sweep = straddle_fidelity(family, band, np.linspace(*q2_range, n_points), delta, q1=q1)
     return write_sweep(out, fmt, ["q1", "q2", "delta", "band", "re_f", "im_f", "status"],
                        sweep, [sweep.values.real, sweep.values.imag], constants=[fnum(delta)])
 
 
 @command(
     "polar", FORMAT, *CHI_OPTIONS,
-    click.option("--center", default="0,1", show_default=True),
-    click.option("--radii", default="0.1,0.2,0.3", show_default=True),
+    click.option("--center", type=PAIR, default="0,1", show_default=True),
+    click.option("--radii", type=Numbers(), default="0.1,0.2,0.3", show_default=True),
     click.option("--n-angles", type=click.IntRange(min=1), default=64, show_default=True),
-    click.option("--angles", default=None,
+    click.option("--angles", type=Numbers(), default=None,
                  help="explicit comma-separated angles, overrides --n-angles"),
 )
 def cmd_polar(family, out, fmt, band, workers, center, radii, n_angles, angles):
     """Radial susceptibility versus polar angle around a center point."""
-    centerv = parse_numbers(center, 2, "--center")
-    radiiv = parse_numbers(radii, None, "--radii")
-    if angles is not None:
-        anglesv = parse_numbers(angles, None, "--angles")
-    else:
-        anglesv = [2 * math.pi * k / n_angles for k in range(n_angles)]
-    sweep = polar_sweep(family, tuple(centerv), radiiv, anglesv, band)
+    if angles is None:
+        angles = [2 * math.pi * k / n_angles for k in range(n_angles)]
+    sweep = polar_sweep(family, tuple(center), radii, angles, band)
     return write_chi(out, fmt, ["r", "phi"], sweep)
 
 
 @command(
     "ep-locate", FORMAT,
-    click.option("--segment", required=True, help="q1a,q2a,q1b,q2b endpoints"),
+    click.option("--segment", type=SEGMENT, required=True, help="q1a,q2a,q1b,q2b endpoints"),
 )
 def cmd_ep_locate(family, out, fmt, segment):
     """Locate and classify an exceptional point on a parameter segment."""
-    a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
-    ep = find_ep_on_segment(family, (a1, a2), (b1, b2))
+    ep = find_ep_on_segment(family, segment[:2], segment[2:])
     try:
-        kind = classify_ep(family, ep)
-    except NhgeomError:
-        kind = EPKind.UNCLASSIFIED
+        kind, evidence = classify_ep(family, ep), {}
+    except NhgeomError as err:
+        kind, evidence = EPKind.UNCLASSIFIED, {"unclassified": f"{type(err).__name__}: {err}"}
     label = phase_of(family.matrix(ep.point))
-    evidence = {"residual_gap": ep.gap, "discriminant": abs(label.discriminant),
-                "discriminant_bound": label.bound}
+    evidence |= {"residual_gap": ep.gap, "discriminant": abs(label.discriminant),
+                 "discriminant_bound": label.bound}
     if fmt == "json":
         return evidence | write_record(out, {
             "point": [ep.point.q1, ep.point.q2],
@@ -455,17 +449,16 @@ def cmd_ep_locate(family, out, fmt, segment):
 
 @command(
     "trace-line", FORMAT,
-    click.option("--segment", required=True, help="seed search segment q1a,q2a,q1b,q2b"),
+    click.option("--segment", type=SEGMENT, required=True,
+                 help="seed search segment q1a,q2a,q1b,q2b"),
     click.option("--step", type=float, default=0.05, show_default=True),
     click.option("--max-points", type=click.IntRange(min=1), default=40, show_default=True),
-    click.option("--box", default="-2,2,0,2", show_default=True),
+    click.option("--box", type=BOX, default="-2,2,0,2", show_default=True),
 )
 def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
     """Trace an exceptional line from a seed EP found on a segment."""
-    a1, a2, b1, b2 = parse_numbers(segment, 4, "--segment")
-    boxv = parse_finite(box, 4, "--box")
-    seed = find_ep_on_segment(family, (a1, a2), (b1, b2))
-    points = trace_exceptional_line(family, seed, step, max_points, box=tuple(boxv))
+    seed = find_ep_on_segment(family, segment[:2], segment[2:])
+    points = trace_exceptional_line(family, seed, step, max_points, box=tuple(box))
     label = phase_of(family.matrices(*np.array([ep.point for ep in points]).T))
     evidence = {"residual_gap": max(ep.gap for ep in points),
                 "discriminant": float(np.abs(label.discriminant).max()),
@@ -476,29 +469,28 @@ def cmd_trace_line(family, out, fmt, segment, step, max_points, box):
 
 @command(
     "jordan",
-    click.option("--point", required=True, help="parameter point q1,q2"),
-    click.option("--energy", default=None, help="re[,im]; default: closest coalescing pair"),
+    click.option("--point", type=PAIR, required=True, help="parameter point q1,q2"),
+    click.option("--energy", type=Numbers(), default=None,
+                 help="re[,im]; default: closest coalescing pair"),
     click.option("--n-angles", type=click.IntRange(min=4), default=8, show_default=True),
 )
 def cmd_jordan(family, out, point, energy, n_angles):
     """Jordan chain and dispersion diagnostics at a degenerate point."""
-    q1, q2 = parse_numbers(point, 2, "--point")
-    h = family.matrix((q1, q2))
+    h = family.matrix(point)
     if energy is not None:
-        parts = parse_numbers(energy, None, "--energy")
-        if len(parts) not in (1, 2):
+        if len(energy) not in (1, 2):
             raise click.UsageError("--energy takes 're' or 're,im'")
-        ev = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
+        ev = complex(*energy)
     else:
         w = eigenvalues(h)
         _, i, j = closest_pair(w)
         ev = complex((w[i] + w[j]) / 2)
     chain = jordan_chain(h, ev)
     angles = [2 * math.pi * k / n_angles for k in range(n_angles)]
-    diags = _dispersion(family, (q1, q2), chain, angles)
-    kind = _classify(family, (q1, q2), chain)
+    diags = _dispersion(family, point, chain, angles)
+    kind = _classify(family, point, chain)
     return write_record(out, {
-        "point": [q1, q2],
+        "point": point,
         "energy": [ev.real, ev.imag],
         "kind": kind.value,
         "psi0": [[z.real, z.imag] for z in chain.psi0],

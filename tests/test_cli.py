@@ -734,6 +734,7 @@ class TestEpLocate:
         out = tmp_path / f"ep.{fmt}"
         run_ok(runner, ["ep-locate", "--segment", segment, "--format", fmt, "--out", str(out)])
         manifest = json.loads((tmp_path / f"ep.{fmt}.manifest.json").read_text())
+        assert "unclassified" not in manifest
         assert 0.0 <= manifest["residual_gap"] <= gap_bound
         assert 0.0 <= manifest["discriminant"] <= disc_bound
         # The located point reads near_ep: |disc| is within 10 round-off bounds.
@@ -755,6 +756,8 @@ class TestEpLocate:
         run_ok(runner, ["ep-locate", "--segment", "0,0.5,0,1.3", "--out", str(out)])
         _, rows = read_csv(out)
         assert rows[0][4] == "Unclassified"
+        manifest = json.loads((tmp_path / "dirac.csv.manifest.json").read_text())
+        assert manifest["unclassified"] == "NotDefectiveError: diagonalizable"
 
     def test_classifier_bug_propagates(self, runner, tmp_path, monkeypatch):
         def broken(family, ep):
@@ -852,6 +855,31 @@ class TestJordanCommand:
         assert not out.exists()
 
 
+# The README's 8 commands and the sha256 of each data file, as written with
+# numpy 2.4 on x86-64.  Any change to these bytes must be stated in
+# CHANGES.md with its numerical diff, and the digest updated here.
+README_OUTPUTS = {
+    "spectrum.csv": (["spectrum-scan", "--box", "-2,2,0,2", "--resolution", "101,101"],
+                     "eb5a73bfd62483c4fc53ef1fab193376df6c0130c33ce21b32925ef7493eb477"),
+    "chi.csv": (["chi-scan", "--box", "-1.5,1.5,0,2", "--resolution", "41,41"],
+                "20314aea28e2835bf2b43f70cb1e8da8c0f0b04081e8aa1f878f1d38c6049026"),
+    "cut.csv": (["line-cut", "--q1", "0", "--q2-range", "0,0.99", "--n-points", "200"],
+                "7e4b540d98f8394db23050062b9d59d8c461d5bfbd0f4486d2303f1291749aca"),
+    "straddle.csv": (["straddle", "--q2-range", "1.2,1.43", "--n-points", "51",
+                      "--delta", "0.05"],
+                     "a7c25596096d0f070ef7ee0dca205433cbeb75a103026c38730c0902efa7ae45"),
+    "polar.csv": (["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
+                  "6beff305fd2a1e90c82ab8e1c42660e45a1fd0c1e8ac7cc6d8f2283e136946ce"),
+    "dirac.json": (["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
+                   "85f786d06860ab001bedffbf149525e00db38015e8c5b438fc11a25423ef99c4"),
+    "line.csv": (["trace-line", "--segment", "0,1.2,0,1.7", "--step", "0.05",
+                  "--max-points", "40"],
+                 "c3226af597c8e02e4a02cfee21cd6d305832c764ff628ae5843ca22f70c9dfcc"),
+    "chain.json": (["jordan", "--point", "0,1"],
+                   "76c9549aec7c1d0f28649a14884aa29fcf9390986f75abbfa78cc3bc73fee9d2"),
+}
+
+
 class TestConfigAndManifest:
     def test_manifest_written(self, runner, tmp_path):
         out = tmp_path / "scan.csv"
@@ -863,14 +891,18 @@ class TestConfigAndManifest:
         assert manifest["tool"] == "nhgeom"
         assert manifest["subcommand"] == "chi-scan"
         assert manifest["rows"] == 4
-        assert manifest["config"]["box"] == "0,0.4,0.4,0.6"
+        # Each option's resolved value, in CLI syntax: defaults and lists included.
+        assert manifest["config"]["box"] == "0.0,0.4,0.4,0.6"
+        assert manifest["config"]["direction"] == "0.0,1.0"
 
-    def test_manifest_round_trip(self, runner, tmp_path):
+    @pytest.mark.parametrize("args", [args for args, _ in README_OUTPUTS.values()] + [
+        ["chi-scan", "--box", "-0.3,0.3,0.5,0.9", "--resolution", "3,2",
+         "--direction", "1,0", "--band", "1"],
+    ], ids=[*README_OUTPUTS, "chi-scan-band-1"])
+    def test_manifest_round_trip(self, runner, tmp_path, args):
+        # A manifest's config, replayed through --config, writes the same bytes.
         out1 = tmp_path / "a.csv"
-        run_ok(runner, [
-            "chi-scan", "--box", "-0.3,0.3,0.5,0.9", "--resolution", "3,2",
-            "--direction", "1,0", "--band", "1", "--out", str(out1),
-        ])
+        run_ok(runner, args + ["--out", str(out1)])
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         cfg = tmp_path / "replay.cfg"
         cfg.write_text(
@@ -881,7 +913,7 @@ class TestConfigAndManifest:
             )
         )
         out2 = tmp_path / "b.csv"
-        run_ok(runner, ["chi-scan", "--config", str(cfg), "--out", str(out2)])
+        run_ok(runner, [args[0], "--config", str(cfg), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_flags_override_config(self, runner, tmp_path):
@@ -1019,15 +1051,22 @@ def test_sweep_manifest_counts_statuses(runner, tmp_path, args):
     assert manifest["status"] == dict(Counter(r[-1] for r in rows))
 
 
-@pytest.mark.parametrize("box,message", [
-    ("a,b,c,d", "could not parse --box 'a,b,c,d' as floats"),
-    ("0,1,2", "--box needs 4 comma-separated floats, got '0,1,2'"),
-])
-def test_unparsable_numbers_exit_2(runner, tmp_path, box, message):
+@pytest.mark.parametrize("in_config,box,message", [
+    (False, "a,b,c,d", "could not parse 'a,b,c,d' as floats"),
+    (False, "0,1,2", "needs 4 comma-separated floats, got '0,1,2'"),
+    (True, "0,1,2", "needs 4 comma-separated floats, got '0,1,2'"),
+], ids=["a,b,c,d", "0,1,2", "config-0,1,2"])
+def test_unparsable_numbers_exit_2(runner, tmp_path, in_config, box, message):
+    # click parses the option, from a flag or a config file alike.
     out = tmp_path / "x.csv"
-    result = runner.invoke(main, ["chi-scan", "--box", box, "--out", str(out)])
+    args = ["--box", box]
+    if in_config:
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(f"box = {box}\n")
+        args = ["--config", str(cfg)]
+    result = runner.invoke(main, ["chi-scan", *args, "--out", str(out)])
     assert result.exit_code == 2
-    assert message in result.output
+    assert f"Invalid value for '--box': {message}" in result.output
     assert not out.exists()
 
 
@@ -1089,7 +1128,26 @@ def test_non_finite_range_exits_2(runner, tmp_path, command, flag, value):
         result = runner.invoke(main, [command, *BASE_ARGS[command], flag, value,
                                       "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert LIBRARY_MESSAGES.get((command, flag), f"{flag} must be finite") in result.output
+    message = LIBRARY_MESSAGES.get((command, flag), f"Invalid value for '{flag}': must be finite")
+    assert message in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("chi-scan", "--box", "0,1e308,0,1"),
+    ("spectrum-scan", "--box", "0,1e308,0,1"),
+    ("ep-locate", "--segment", "0,1e308,0,1"),
+])
+def test_overflow_exits_3(runner, tmp_path, command, flag, value):
+    # Finite arguments that overflow inside the job: a computation failure,
+    # with numpy's message and no leaked warning.
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [command, *BASE_ARGS[command], flag, value,
+                                      "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "computation failed: overflow" in result.output
     assert not out.exists()
 
 
@@ -1164,31 +1222,6 @@ def test_cli_import_loads_no_numpy_polynomial():
     # The locator's fixed-degree series code replaced it; the tests alone
     # import it, as an oracle.
     assert modules_loaded_by_cli_import("numpy.polynomial") == "[]"
-
-
-# The README's 8 commands and the sha256 of each data file, as written with
-# numpy 2.4 on x86-64.  Any change to these bytes must be stated in
-# CHANGES.md with its numerical diff, and the digest updated here.
-README_OUTPUTS = {
-    "spectrum.csv": (["spectrum-scan", "--box", "-2,2,0,2", "--resolution", "101,101"],
-                     "eb5a73bfd62483c4fc53ef1fab193376df6c0130c33ce21b32925ef7493eb477"),
-    "chi.csv": (["chi-scan", "--box", "-1.5,1.5,0,2", "--resolution", "41,41"],
-                "20314aea28e2835bf2b43f70cb1e8da8c0f0b04081e8aa1f878f1d38c6049026"),
-    "cut.csv": (["line-cut", "--q1", "0", "--q2-range", "0,0.99", "--n-points", "200"],
-                "7e4b540d98f8394db23050062b9d59d8c461d5bfbd0f4486d2303f1291749aca"),
-    "straddle.csv": (["straddle", "--q2-range", "1.2,1.43", "--n-points", "51",
-                      "--delta", "0.05"],
-                     "a7c25596096d0f070ef7ee0dca205433cbeb75a103026c38730c0902efa7ae45"),
-    "polar.csv": (["polar", "--center", "0,1", "--radii", "0.1,0.2,0.3", "--n-angles", "64"],
-                  "6beff305fd2a1e90c82ab8e1c42660e45a1fd0c1e8ac7cc6d8f2283e136946ce"),
-    "dirac.json": (["ep-locate", "--segment", "0,0.5,0,1.3", "--format", "json"],
-                   "85f786d06860ab001bedffbf149525e00db38015e8c5b438fc11a25423ef99c4"),
-    "line.csv": (["trace-line", "--segment", "0,1.2,0,1.7", "--step", "0.05",
-                  "--max-points", "40"],
-                 "c3226af597c8e02e4a02cfee21cd6d305832c764ff628ae5843ca22f70c9dfcc"),
-    "chain.json": (["jordan", "--point", "0,1"],
-                   "76c9549aec7c1d0f28649a14884aa29fcf9390986f75abbfa78cc3bc73fee9d2"),
-}
 
 
 @pytest.mark.parametrize("name", README_OUTPUTS)
