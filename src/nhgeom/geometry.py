@@ -239,13 +239,15 @@ def _sum_over_states(family, band, q1, q2, n1, n2):
     """
     n = band_index(band, family.dimension)
     h = family.matrices(q1, q2).reshape(-1, family.dimension, family.dimension)
-    d1, d2 = family.gradient(ParameterPoint(q1, q2))
-    dh = (n1 * d1 + n2 * d2).reshape(h.shape)
+    d1, d2 = family.gradient
+    # One dH for one direction, shared by every point; one per point otherwise.
+    dh = (n1 * d1 + n2 * d2).reshape(-1, *h.shape[1:])
     system = eigendecompose(h)
     status = np.where(system.breakdown | system.condition_flags[:, n], EP_BREAKDOWN, OK)
     ok = status == OK
     w, lefts, rights = system.energies[ok], system.lefts[ok], system.rights[ok]
-    dh, h = dh[ok], h[ok]
+    h = h[ok]
+    dh = dh[ok] if len(dh) > 1 else dh
     a = lefts @ dh @ rights
     others = [m for m in range(system.dim) if m != n]
     row, col = a[:, n, others], a[:, others, n]

@@ -18,10 +18,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoDoubleEigenvalueError,
+    NonFiniteError,
     NotDefectiveError,
 )
 from .linalg import as_complex_matrix, eigenvalues, matrix_scale
-from .model import as_point, circle_points
+from .model import circle_points
 from .spectral import EPKind, Phase, phase_of
 
 # Window (relative to ||H||) within which two eigenvalues count as the
@@ -82,13 +83,15 @@ def jordan_chain(h, energy):
     minimum-norm solutions of A chi = psi0 and eta A = phi0.
 
     Raises DimensionMismatchError or NonFiniteError for an `h` that is not
-    one finite square matrix, NoDoubleEigenvalueError if fewer than two
-    eigenvalues fall in the degeneracy window around `energy`, and
-    NotDefectiveError unless exactly one singular value of A is at most
-    KERNEL_RANK_TOL s[0] (A is square: its left and right kernels have
-    equal dimension).
+    one finite square matrix, NonFiniteError for a non-finite `energy`,
+    NoDoubleEigenvalueError if fewer than two eigenvalues fall in the
+    degeneracy window around `energy`, and NotDefectiveError unless exactly
+    one singular value of A is at most KERNEL_RANK_TOL s[0] (A is square:
+    its left and right kernels have equal dimension).
     """
     h = as_complex_matrix(h)
+    if not cmath.isfinite(energy):
+        raise NonFiniteError(f"non-finite energy {energy}")
     scale = matrix_scale(h)
     w = eigenvalues(h)
     close = np.abs(w - energy) <= DOUBLE_EV_TOL * scale
@@ -170,7 +173,7 @@ def _dispersion(family, point, chain, angles):
     """`sqrt_coefficient` at `point` along each of `angles`, from its Jordan
     chain `chain`: one `eigenvalues` call over the FIT_RADII x angles grid of
     `circle_points` and one least-squares fit whose columns are the angles."""
-    d1, d2 = family.gradient(as_point(point))
+    d1, d2 = family.gradient
     a_vals = [a_coefficient(chain, math.cos(phi) * d1 + math.sin(phi) * d2) for phi in angles]
     # |E+ - E-| of the pair nearest the chain's energy at each radius; hypot
     # is bit for bit the complex abs of a numpy scalar.
@@ -210,7 +213,7 @@ def classify_ep(family, ep):
 def _classify(family, point, chain):
     """`classify_ep` at `point`, from its Jordan chain `chain`."""
     tol = DIRAC_CHAIN_AMP_TOL * np.linalg.norm(chain.phi0) * np.linalg.norm(chain.psi0)
-    for dh in family.gradient(as_point(point)):
+    for dh in family.gradient:
         # A zero derivative couples nothing: 0 > 0 is false.
         if abs(a_coefficient(chain, dh)) > tol * np.linalg.norm(dh):
             return EPKind.CONVENTIONAL

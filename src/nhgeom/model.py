@@ -7,18 +7,18 @@ The NV model is a spin-1 qutrit with a non-reciprocal coupling:
 in the standard Sz eigenbasis ordered (+1, 0, -1).  q1 plays the role of
 an effective momentum (detuning) and q2 the degree of non-reciprocity;
 the model is Hermitian exactly on the q2 = 0 line.  H is affine in
-(q1, q2), so the family is its three matrices (`HamiltonianFamily.affine`).
-Downstream modules only ever see the generic `HamiltonianFamily`
-interface, so other two-parameter models can reuse the whole toolchain.
+(q1, q2), so the family is its three matrices.  Downstream modules only
+ever see the generic `HamiltonianFamily` interface, so any other family
+H0 + q1 A1 + q2 A2 can reuse the whole toolchain.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, NonFiniteError
+from .errors import ArgumentError, DimensionMismatchError, NonFiniteError
+from .linalg import as_complex_matrix
 
 
 class ParameterPoint(NamedTuple):
@@ -58,59 +58,54 @@ def circle_points(center, radii, angles):
     return ParameterPoint((center.q1 + r * cos).ravel(), (center.q2 + r * sin).ravel())
 
 
-@dataclass(frozen=True)
 class HamiltonianFamily:
-    """A two-parameter matrix family with analytic parameter derivatives.
+    """The two-parameter family H(q1, q2) = H0 + q1 A1 + q2 A2 of three
+    constant n x n matrices.
 
-    `builder(p)` returns H(p); `gradient(p)` returns the pair
-    (dH/dq1, dH/dq2) evaluated at p.  Both broadcast: `p` holds two floats
-    or two equal-shape float arrays, and the matrices come back with that
-    shape in front, as (..., n, n).  `p` arrives checked finite.  An affine
-    family is made from its three matrices with `affine`.
+    `h0`, `a1` and `a2` are stored once, read-only, in the matrices' common
+    dtype (at least float) and with no -0.0.  `matrix` (one point) and
+    `matrices` (a stack of equal-shape arrays, as (..., n, n)) sum H0 + q1 A1
+    + q2 A2 in that order and then make it complex, so an entry that all
+    three terms leave zero is +0.0 at every point.  `gradient` is the
+    constant pair (dH/dq1, dH/dq2) = (A1, A2), two read-only complex
+    matrices.  Raises DimensionMismatchError unless the three are square
+    matrices of one shape and of dimension 1..MAX_DIM, and NonFiniteError
+    for a NaN or an infinity in any of them.
     """
 
-    name: str
-    dimension: int
-    builder: Callable[[ParameterPoint], np.ndarray]
-    gradient: Callable[[ParameterPoint], tuple]
-
-    @classmethod
-    def affine(cls, name, h0, a1, a2):
-        """The family H0 + q1 A1 + q2 A2 of three constant n x n matrices.
-
-        H is summed in that order in the matrices' common dtype (at least
-        float) and then made complex, so an entry that all three terms leave
-        zero is +0.0 at every point.  The gradient is the constant pair
-        (A1, A2), as read-only views of one complex matrix each.
-        """
-        h0, a1, a2 = np.array([h0, a1, a2]) + 0.0  # at least float, and no -0.0
-        d1, d2 = a1.astype(complex), a2.astype(complex)
-
-        def builder(p):  # in place, which halves a large stack's temporaries
-            h = np.multiply.outer(p[0], a1)
-            np.add(h0, h, out=h)
-            h += np.multiply.outer(p[1], a2)
-            return h.astype(complex, copy=False)
-
-        def gradient(p):
-            shape = np.shape(p[0]) + d1.shape
-            return np.broadcast_to(d1, shape), np.broadcast_to(d2, shape)
-
-        return cls(name, len(h0), builder, gradient)
+    def __init__(self, name, h0, a1, a2):
+        shapes = [np.shape(m) for m in (h0, a1, a2)]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+            raise DimensionMismatchError(
+                f"H0, A1 and A2 must be square matrices of one shape, got shapes {shapes}")
+        terms = np.array([h0, a1, a2]) + 0.0  # at least float, and no -0.0
+        gradient = as_complex_matrix(terms, stack=True)  # of dimension 1..MAX_DIM, finite
+        terms.setflags(write=False)
+        gradient.setflags(write=False)
+        self.name = name
+        self.dimension = len(terms[0])
+        self.h0, self.a1, self.a2 = terms
+        self.gradient = (gradient[1], gradient[2])
 
     def matrix(self, p):
-        return self.builder(as_point(p))
+        return self._sum(as_point(p))
 
     def matrices(self, q1, q2):
         """H at each point (q1[k], q2[k]) of equal-shape finite arrays: (..., n, n)."""
-        return self.builder(as_points((q1, q2)))
+        return self._sum(as_points((q1, q2)))
+
+    def _sum(self, p):  # in place, which halves a large stack's temporaries
+        h = np.multiply.outer(p[0], self.a1)
+        np.add(self.h0, h, out=h)
+        h += np.multiply.outer(p[1], self.a2)
+        return h.astype(complex, copy=False)
 
 
 # H0 = 3 Sz^2 + sqrt(2) Sx, dH/dq1 = 2 Sz, dH/dq2 = -i sqrt(2) Sy: integers.
 _NV_TERMS = (np.array([[3, 1, 0], [1, 0, 1], [0, 1, 3]]), np.diag([2, 0, -2]),
              np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
 
-_FAMILIES = {"nv-dirac": HamiltonianFamily.affine("nv-dirac", *_NV_TERMS)}
+_FAMILIES = {"nv-dirac": HamiltonianFamily("nv-dirac", *_NV_TERMS)}
 
 
 def nv_family():

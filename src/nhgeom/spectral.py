@@ -199,7 +199,7 @@ def _discriminant_gradient(family, p):
 
     grads = [(np.sum(adj * dsums(h, dh)).real,
               (2 * n - 1) * n * n * _UNIT * np.sum(r * dsums(np.abs(h), np.abs(dh))))
-             for dh in family.gradient(p)]
+             for dh in family.gradient]
     return tuple(np.array(x) for x in zip(*grads))
 
 

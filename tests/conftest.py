@@ -56,19 +56,6 @@ def nv_axis_chi_band0(q2):
     )
 
 
-def stacked(rows, p):
-    """The complex matrix of `rows` at p, broadcast as family builders must be,
-    for a family that is not affine (an affine one is `HamiltonianFamily.affine`).
-
-    Each entry is a number or an array of the shape of p.q1; the matrix
-    comes back with that shape in front, as (..., n, n).
-    """
-    shape = np.shape(p.q1)
-    return np.stack(
-        [np.stack([np.broadcast_to(e, shape) for e in row], -1) for row in rows], -2
-    ).astype(complex)
-
-
 def numpy_eigensolve(h, vectors=False):
     """numpy's eigvals (or eig, with `vectors`) of one matrix, by the driver
     rule of `nhgeom.linalg`, as complex arrays: a matrix with no imaginary
@@ -86,7 +73,7 @@ def imaginary_detuning_family():
     Its matrices are complex off q1 = 0 and exactly real on it, so a sweep
     across q1 = 0 mixes the two LAPACK drivers in one stack.
     """
-    return HamiltonianFamily.affine(
+    return HamiltonianFamily(
         "imaginary-detuning",
         [[3, 1, 0], [1, 0, 1], [0, 1, 3]],
         np.diag([2j, 0, -2j]),
@@ -97,7 +84,7 @@ def imaginary_detuning_family():
 def pt_dimer(shift=0.0):
     """H = [[i q2, q1], [q1, -i q2]] + shift I: eigenvalues
     shift +/- sqrt(q1^2 - q2^2), an exceptional line q2 = |q1|."""
-    return HamiltonianFamily.affine(
+    return HamiltonianFamily(
         "pt-dimer", np.diag([shift, shift]), [[0, 1], [1, 0]], np.diag([1j, -1j])
     )
 

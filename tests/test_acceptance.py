@@ -207,7 +207,7 @@ def test_criterion_7_jordan_chain(family):
     chain = jordan_chain(family.matrix((0.0, 1.0)), 3.0)
     psi0_dir = np.abs(chain.psi0) / np.linalg.norm(chain.psi0)
     phi0_dir = np.abs(chain.phi0) / np.linalg.norm(chain.phi0)
-    dq1, dq2 = family.gradient((0.0, 1.0))
+    dq1, dq2 = family.gradient
     a_max = max(
         abs(a_coefficient(chain, math.cos(phi) * dq1 + math.sin(phi) * dq2))
         for phi in np.linspace(0.0, 2 * math.pi, 32)

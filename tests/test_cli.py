@@ -147,7 +147,7 @@ class TestFloatCells:
 
 
 # Four real levels 4 + q1 > 1 > -1 + q2 > -3 on the box -0.5,0.5,0,0.5.
-FOUR_LEVEL = HamiltonianFamily.affine(
+FOUR_LEVEL = HamiltonianFamily(
     "four-level",
     [[4, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],
     np.diag([1, 0, 0, 0]),
@@ -836,6 +836,16 @@ class TestJordanCommand:
         result = runner.invoke(main, ["jordan", "--point", "nan,1", "--out", str(out)])
         assert result.exit_code == 2
         assert "non-finite parameter point" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("energy", ["nan", "3,inf", "-inf"])
+    def test_nonfinite_energy_exits_2(self, runner, tmp_path, energy):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "jordan", "--point", "0,1", "--energy", energy, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "non-finite energy" in result.output
         assert not out.exists()
 
     def test_real_energy_alone(self, runner, tmp_path):

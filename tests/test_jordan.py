@@ -24,7 +24,7 @@ from nhgeom import cli, jordan
 from nhgeom.jordan import DIRAC_CHAIN_AMP_TOL, JordanChain
 from nhgeom.spectral import EPLocation
 
-from conftest import reference_double_root, reference_line_q2, segment_through, stacked
+from conftest import reference_double_root, reference_line_q2, segment_through
 
 Q2_STAR = np.sqrt(17.0 / 8.0)
 
@@ -90,6 +90,11 @@ class TestJordanChain:
         with pytest.raises(NonFiniteError):
             jordan_chain(h, 3.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, complex(3, math.inf), -math.inf])
+    def test_rejects_a_non_finite_energy(self, family, energy):
+        with pytest.raises(NonFiniteError, match="non-finite energy"):
+            jordan_chain(family.matrix((0.0, 1.0)), energy)
+
     def test_dirac_chain_residuals(self, dirac_chain):
         assert max(dirac_chain.residuals) <= 1e-9
 
@@ -145,7 +150,7 @@ class TestJordanChain:
 
 class TestACoefficient:
     def test_vanishes_at_dirac_ep(self, family, dirac_chain):
-        dq1, dq2 = family.gradient((0.0, 1.0))
+        dq1, dq2 = family.gradient
         assert abs(a_coefficient(dirac_chain, dq1)) <= 1e-10
         assert abs(a_coefficient(dirac_chain, dq2)) <= 1e-10
 
@@ -153,7 +158,7 @@ class TestACoefficient:
         chain = jordan_chain(
             family.matrix(conventional_ep.point), conventional_ep.coalesced_energy
         )
-        _, dq2 = family.gradient(conventional_ep.point)
+        _, dq2 = family.gradient
         a_val = a_coefficient(chain, dq2)
         assert abs(a_val) > 1e-3
         # Puiseux oracle: splitting(r) ~ |2 sqrt(A r)| along q2
@@ -264,15 +269,10 @@ class TestClassifyEP:
     def test_conventional(self, family, conventional_ep):
         assert classify_ep(family, conventional_ep) is EPKind.CONVENTIONAL
 
-    def test_pseudo_ep_not_defective(self, family):
-        # A diagonalizable double level; the gradient is NV's on purpose and
-        # does not match the builder.
-        pseudo = HamiltonianFamily(
-            name="pseudo",
-            dimension=3,
-            builder=lambda p: stacked([[3, 0, 0], [0, 3, 0], [0, 0, 0]], p),
-            gradient=family.gradient,
-        )
+    def test_pseudo_ep_not_defective(self):
+        # A diagonalizable double level, constant in (q1, q2).
+        zero = np.zeros((3, 3))
+        pseudo = HamiltonianFamily("pseudo", np.diag([3, 3, 0]), zero, zero)
         ep = EPLocation(
             point=ParameterPoint(0.0, 1.0),
             coalesced_energy=3.0 + 0.0j,
@@ -303,7 +303,7 @@ class TestChainAmplitudeClassifier:
             )
             ep = find_ep_on_segment(family, *segment)
             dirac_amps += chain_amplitudes(
-                family.matrix(ep.point), ep.coalesced_energy, family.gradient(ep.point)
+                family.matrix(ep.point), ep.coalesced_energy, family.gradient
             )
             assert classify_ep(family, ep) is EPKind.DIRAC
         crossing_amps = []
@@ -312,7 +312,7 @@ class TestChainAmplitudeClassifier:
             point = ParameterPoint(float(q1), float(q2))
             energy = complex(reference_double_root(q1, q2))
             crossing_amps.append(max(
-                chain_amplitudes(family.matrix(point), energy, family.gradient(point))
+                chain_amplitudes(family.matrix(point), energy, family.gradient)
             ))
             ep = EPLocation(point=point, coalesced_energy=energy, gap=0.0, defect_measure=0.0)
             assert classify_ep(family, ep) is EPKind.CONVENTIONAL
@@ -340,48 +340,35 @@ class TestChainAmplitudeClassifier:
             assert calls == {"jordan_chain": 1}
 
     def test_broken_ring_decides_when_both_amplitudes_vanish(self):
-        # H = [[0, 1], [-(q1^2 + q2^2), 0]]: both derivatives vanish at the
-        # origin, a Jordan block, but the eigenvalues +/- i r are complex on
-        # every ring around it.
+        # H = [[z, 1], [0, -z]] with z = q2 + i q1: a Jordan block at the
+        # origin whose chain elements of both (diagonal) derivatives vanish,
+        # but the eigenvalues +/- z are complex off q1 = 0, so the ring
+        # around it is broken.
         cone = HamiltonianFamily(
-            name="imaginary-cone",
-            dimension=2,
-            builder=lambda p: stacked([[0, 1], [-(p.q1 ** 2 + p.q2 ** 2), 0]], p),
-            gradient=lambda p: (
-                stacked([[0, 0], [-2 * p.q1, 0]], p),
-                stacked([[0, 0], [-2 * p.q2, 0]], p),
-            ),
+            "imaginary-cone", [[0, 1], [0, 0]], np.diag([1j, -1j]), np.diag([1, -1])
         )
         ep = EPLocation(point=ParameterPoint(0.0, 0.0), coalesced_energy=0j,
                         gap=0.0, defect_measure=0.0)
-        assert not np.any(cone.gradient(ep.point))
+        assert chain_amplitudes(cone.matrix(ep.point), 0.0, cone.gradient) == [0.0, 0.0]
         assert classify_ep(cone, ep) is EPKind.CONVENTIONAL
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
-    def test_amplitude_decides_inside_an_unbroken_ring(self, eps):
-        # Eigenvalues +/- sqrt(2 q1^2 + q2^2 + eps q1): the exceptional line
-        # is an ellipse of width eps / 2 through the origin, so the ring
-        # at NEIGHBOR_RADIUS lies wholly in the unbroken phase, but the
-        # chain amplitude along q1 is eps / sqrt(2 + eps^2).
-        ellipse = HamiltonianFamily(
-            name="small-ellipse",
-            dimension=2,
-            builder=lambda p: stacked(
-                [[p.q1, 1], [p.q1 ** 2 + p.q2 ** 2 + eps * p.q1, -p.q1]], p
-            ),
-            gradient=lambda p: (
-                stacked([[1, 0], [eps + 2 * p.q1, -1]], p),
-                stacked([[0, 0], [2 * p.q2, 0]], p),
-            ),
-        )
-        ep = EPLocation(point=ParameterPoint(0.0, 0.0), coalesced_energy=0j,
+    def test_amplitude_decides_inside_an_unbroken_ring(self, family, eps):
+        # NV with eps added to the (0, 2) entry of dH/dq1: at the Dirac EP
+        # (0, 1), psi0 = e3 and phi0 = e1, so the chain amplitude along q1
+        # is eps / sqrt(8 + eps^2), while the ring at NEIGHBOR_RADIUS still
+        # lies wholly in the unbroken phase.
+        e02 = np.zeros((3, 3))
+        e02[0, 2] = eps
+        perturbed = HamiltonianFamily("perturbed-nv", family.h0, family.a1 + e02, family.a2)
+        ep = EPLocation(point=ParameterPoint(0.0, 1.0), coalesced_energy=3 + 0j,
                         gap=0.0, defect_measure=0.0)
-        dq1, _ = ellipse.gradient(ep.point)
-        [amp] = chain_amplitudes(ellipse.matrix(ep.point), 0.0, [dq1])
-        assert amp == pytest.approx(eps / math.sqrt(2 + eps ** 2), rel=1e-12)
+        dq1, _ = perturbed.gradient
+        [amp] = chain_amplitudes(perturbed.matrix(ep.point), 3.0, [dq1])
+        assert amp == pytest.approx(eps / math.sqrt(8 + eps ** 2), rel=1e-12)
         ring = [
-            np.linalg.eigvals(ellipse.matrix((1e-2 * math.cos(t), 1e-2 * math.sin(t))))
+            np.linalg.eigvals(perturbed.matrix((1e-2 * math.cos(t), 1 + 1e-2 * math.sin(t))))
             for t in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
         ]
         assert np.max(np.abs(np.imag(ring))) <= 1e-12
-        assert classify_ep(ellipse, ep) is EPKind.CONVENTIONAL
+        assert classify_ep(perturbed, ep) is EPKind.CONVENTIONAL

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nhgeom import NonFiniteError, ParameterPoint, get_family, matrix_scale, nv_family
+from nhgeom import (
+    DimensionMismatchError,
+    HamiltonianFamily,
+    NonFiniteError,
+    ParameterPoint,
+    get_family,
+    matrix_scale,
+    nv_family,
+)
+from nhgeom.linalg import MAX_DIM
 from nhgeom.model import circle_points
 
 import exact
@@ -69,7 +78,7 @@ OPERATOR_FORMS = {
 
 def terms(family):
     """H(0, 0), dH/dq1 and dH/dq2 of an affine family, read back from it."""
-    return (family.matrix((0.0, 0.0)),) + family.gradient(ParameterPoint(0.0, 0.0))
+    return (family.matrix((0.0, 0.0)),) + family.gradient
 
 
 class TestSpinOperators:
@@ -187,10 +196,9 @@ class TestStackedBuilder:
 
     @pytest.mark.parametrize("family", AFFINE_FAMILIES)
     def test_gradient_is_read_only(self, family):
-        for p in (ParameterPoint(0.3, -0.7), ParameterPoint(np.zeros((2, 3)), np.ones((2, 3)))):
-            for d in family.gradient(p):
-                with pytest.raises(ValueError, match="read-only"):
-                    d[..., 0, 0] = 1.0
+        for d in family.gradient + (family.h0, family.a1, family.a2):
+            with pytest.raises(ValueError, match="read-only"):
+                d[0, 0] = 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from([0, 1]))
@@ -208,31 +216,78 @@ class TestStackedBuilder:
             family.matrices(np.zeros(3), np.zeros(4))
 
     def test_gradient_broadcasts(self, family):
-        q1, q2 = np.zeros((2, 3)), np.ones((2, 3))
-        d1, d2 = family.gradient(ParameterPoint(q1, q2))
-        one = family.gradient(ParameterPoint(0.0, 1.0))
-        assert d1.shape == d2.shape == (2, 3, 3, 3)
-        assert np.array_equal(d1, np.broadcast_to(one[0], d1.shape))
-        assert np.array_equal(d2, np.broadcast_to(one[1], d2.shape))
+        # The constant gradient is every stack point's exact unit step in q1
+        # and in q2: at integer points each sum is exact in floats.
+        q1, q2 = np.arange(-3.0, 3.0).reshape(2, 3), np.ones((2, 3))
+        d1, d2 = family.gradient
+        step1 = family.matrices(q1 + 1, q2) - family.matrices(q1, q2)
+        step2 = family.matrices(q1, q2 + 1) - family.matrices(q1, q2)
+        assert step1.shape == step2.shape == (2, 3, 3, 3)
+        assert np.array_equal(step1, np.broadcast_to(d1, step1.shape))
+        assert np.array_equal(step2, np.broadcast_to(d2, step2.shape))
 
 
 class TestGradient:
     def test_dq1(self, family):
-        dq1, _ = family.gradient(ParameterPoint(0.3, 0.7))
+        dq1, _ = family.gradient
         assert np.allclose(dq1, np.diag([2.0, 0.0, -2.0]), atol=1e-15)
 
     def test_dq2(self, family):
-        _, dq2 = family.gradient(ParameterPoint(0.3, 0.7))
+        _, dq2 = family.gradient
         assert np.allclose(dq2, [[0, -1, 0], [1, 0, -1], [0, 1, 0]], atol=1e-15)
 
     def test_finite_difference(self, family):
         # H is affine in (q1, q2): central differences are exact to round-off
         eps = 1e-4
         p = np.array([0.3, 0.7])
-        dq1, dq2 = family.gradient(ParameterPoint(*p))
+        dq1, dq2 = family.gradient
         for d, e in ((dq1, np.array([1.0, 0.0])), (dq2, np.array([0.0, 1.0]))):
             fd = (family.matrix(p + eps * e) - family.matrix(p - eps * e)) / (2 * eps)
             assert np.max(np.abs(fd - d)) <= 1e-7
+
+
+class TestConstructor:
+    """A family is its three matrices, checked and stored once."""
+
+    def test_stored_in_their_common_dtype_without_negative_zeros(self):
+        f = HamiltonianFamily("f", [[-0.0, 1]] * 2, np.eye(2, dtype=int), np.eye(2, dtype=bool))
+        assert f.dimension == 2
+        assert f.h0.dtype == f.a1.dtype == f.a2.dtype == np.float64
+        assert not np.signbit(f.h0).any()
+        assert np.array_equal(f.a2, np.eye(2))
+        g = pt_dimer()
+        assert g.h0.dtype == np.complex128 and g.dimension == 2
+        assert all(d.dtype == np.complex128 for d in f.gradient + g.gradient)
+
+    def test_matrix_is_defined_in_the_class_body(self):
+        # bench/tracer.py resolves the method through the class __dict__.
+        assert callable(HamiltonianFamily.__dict__["matrix"])
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="one shape"):
+            HamiltonianFamily("f", np.eye(2), np.eye(3), np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (1, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            HamiltonianFamily("f", *[np.ones(shape)] * 3)
+
+    @pytest.mark.parametrize("n", [0, MAX_DIM + 1])
+    def test_dimension_outside_range_rejected(self, n):
+        with pytest.raises(DimensionMismatchError, match=f"dimension {n} outside 1..{MAX_DIM}"):
+            HamiltonianFamily("f", *[np.zeros((n, n))] * 3)
+
+    def test_dimension_range_accepted(self):
+        for n in (1, MAX_DIM):
+            assert HamiltonianFamily("f", *[np.eye(n)] * 3).dimension == n
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry_rejected(self, which, bad):
+        terms = [np.eye(2, dtype=complex) for _ in range(3)]
+        terms[which][1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            HamiltonianFamily("f", *terms)
 
 
 class TestExactTerms:

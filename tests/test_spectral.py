@@ -421,15 +421,9 @@ def seed(family):
 
 
 def rotated_nv(nv):
-    """NV rotated 90 degrees about (0, q2*): H(u1, u2) = H_nv(-(u2 - q2*), u1 + q2*)."""
-    def nv_point(p):
-        return ParameterPoint(-(p.q2 - Q2_STAR), p.q1 + Q2_STAR)
-
-    def gradient(p):
-        d1, d2 = nv.gradient(nv_point(p))
-        return d2, -d1
-
-    return HamiltonianFamily("nv-rotated", 3, lambda p: nv.builder(nv_point(p)), gradient)
+    """NV rotated 90 degrees about (0, q2*): H(u1, u2) = H_nv(-(u2 - q2*), u1 + q2*)
+    = H0 + q2* (A1 + A2) + u1 A2 - u2 A1."""
+    return HamiltonianFamily("nv-rotated", nv.h0 + Q2_STAR * (nv.a1 + nv.a2), nv.a2, -nv.a1)
 
 
 @pytest.fixture(scope="module")
